@@ -5,6 +5,12 @@ relative positions, and the resolution hierarchy the network reuses for
 symmetric up-sampling. Everything here is exact and tie-stable: distances
 tie-break by ascending point index, so identical inputs always produce
 bit-identical index structures.
+
+Every neighbour search (``knn``, ``nearest`` and the hierarchy fallbacks)
+runs through one routine: a KD-tree proposes a few more candidates than
+asked for, their squared distances are recomputed exactly and re-ranked,
+and only rows that might hide a tie beyond the candidates fall back to a
+dense search in bounded row blocks. No full N x M distance matrix is built.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 __all__ = [
     "PointCloud",
@@ -21,6 +28,7 @@ __all__ = [
     "HierarchyLevel",
     "knn",
     "knn_call_count",
+    "nearest",
     "invert_map",
     "fps",
     "relative_positions",
@@ -69,6 +77,8 @@ class PointCloud:
             raise ValueError("non-finite coordinates")
         if self.features.shape[0] != self.n:
             raise ValueError("feature row count does not match positions")
+        if not np.all(np.isfinite(self.features)):
+            raise ValueError("non-finite features")
         if self.labels is not None:
             if self.labels.shape != (self.n,):
                 raise ValueError("labels must be a flat (N,) array")
@@ -122,9 +132,46 @@ class InverseNeighborMap:
         return np.diff(self.offsets)
 
 
-def _pairwise_sq(queries: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    diff = queries[:, None, :] - sources[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+_SLACK = 8  # extra tree candidates per row beyond k
+_TIE_RTOL = 1e-12  # covers the tree's own rounding of a squared distance
+_BLOCK = 1 << 20  # entries per row block of the dense fallback
+
+
+def _dense_blocks(queries: np.ndarray, sources: np.ndarray):
+    """Yield (lo, hi, squared distances of queries[lo:hi] to every source),
+    so the dense fallback holds O(_BLOCK) entries at a time."""
+    step = max(1, _BLOCK // len(sources))
+    for lo in range(0, len(queries), step):
+        hi = min(lo + step, len(queries))
+        diff = queries[lo:hi, None, :] - sources[None, :, :]
+        yield lo, hi, np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def _search(src: np.ndarray, qry: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and squared distances of the k nearest sources per query, in
+    (squared distance, index) order; bit-identical to a stable sort of the
+    dense squared-distance rows. Inputs must be finite and ``k <= len(src)``.
+    """
+    idx = np.empty((len(qry), k), dtype=np.int64)
+    d2 = np.empty((len(qry), k))
+    width = k + _SLACK
+    if len(src) <= width:
+        dense = np.arange(len(qry))
+    else:
+        tree_d, cand = cKDTree(src).query(qry, k=width)
+        diff = qry[:, None, :] - src[cand]
+        cand_d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        order = np.lexsort((cand, cand_d2))[:, :k]
+        idx[:] = np.take_along_axis(cand, order, axis=1)
+        d2[:] = np.take_along_axis(cand_d2, order, axis=1)
+        # every other source lies at least about as far as the last candidate;
+        # a row whose k-th distance comes within rounding of it may miss a tie
+        dense = np.flatnonzero(d2[:, -1] >= tree_d[:, -1] ** 2 * (1.0 - _TIE_RTOL))
+    for lo, hi, block in _dense_blocks(qry[dense], src):
+        order = np.argsort(block, axis=1, kind="stable")[:, :k]
+        idx[dense[lo:hi]] = order
+        d2[dense[lo:hi]] = np.take_along_axis(block, order, axis=1)
+    return idx, d2
 
 
 def knn(sources: PointCloud | np.ndarray, queries: PointCloud | np.ndarray, k: int) -> NeighborMap:
@@ -143,10 +190,44 @@ def knn(sources: PointCloud | np.ndarray, queries: PointCloud | np.ndarray, k: i
     if not (np.all(np.isfinite(src)) and np.all(np.isfinite(qry))):
         raise ValueError("non-finite coordinates")
     _knn_calls += 1
-    d2 = _pairwise_sq(qry, src)
-    # stable argsort keeps ascending-index order among exactly tied distances
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    return NeighborMap(order, source_count=len(src))
+    return NeighborMap(_search(src, qry, k)[0], source_count=len(src))
+
+
+def nearest(sources, queries, exclude_self: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Index and squared distance of each query's nearest source: the argmin
+    and min of the dense squared-distance rows, without building them.
+
+    The lowest index wins ties. With ``exclude_self`` the queries are the
+    sources and row i skips source i (but not its duplicates); a lone point
+    then gets distance inf. Non-finite coordinates give what the dense min
+    gives (NaN, or inf), so metrics report a diverged prediction instead of
+    raising.
+    """
+    src = np.asarray(sources, dtype=np.float64)
+    qry = np.asarray(queries, dtype=np.float64)
+    if src.ndim != 2 or qry.ndim != 2 or len(src) == 0:
+        raise ValueError("empty input")
+    k = 2 if exclude_self else 1
+    idx = np.empty(len(qry), dtype=np.int64)
+    d2 = np.empty(len(qry))
+    dense = ~np.all(np.isfinite(qry), axis=1)
+    if len(src) < k or not np.all(np.isfinite(src)):
+        dense[:] = True
+    rows = np.flatnonzero(~dense)
+    if len(rows):
+        cand, cand_d2 = _search(src, qry[rows], k)
+        skip = (cand[:, 0] == rows) if exclude_self else False  # row i's first pick is i
+        idx[rows] = np.where(skip, cand[:, -1], cand[:, 0])
+        d2[rows] = np.where(skip, cand_d2[:, -1], cand_d2[:, 0])
+    rows = np.flatnonzero(dense)
+    for lo, hi, block in _dense_blocks(qry[rows], src):
+        r = np.arange(hi - lo)
+        if exclude_self:
+            block[r, rows[lo:hi]] = np.inf
+        j = np.argmin(block, axis=1)
+        idx[rows[lo:hi]] = j
+        d2[rows[lo:hi]] = block[r, j]
+    return idx, d2
 
 
 def invert_map(m: NeighborMap) -> InverseNeighborMap:
@@ -278,8 +359,7 @@ def build_hierarchy(
         fallback = np.full(len(prev_pos), -1, dtype=np.int64)
         empty = np.flatnonzero(inv.row_lengths() == 0)
         if len(empty):
-            d2 = _pairwise_sq(prev_pos[empty], level_pos)
-            fallback[empty] = np.argmin(d2, axis=1)
+            fallback[empty] = knn(level_pos, prev_pos[empty], 1).indices[:, 0]
         hierarchy.levels.append(HierarchyLevel(subset, level_pos, down, inv, fallback))
         prev_pos = level_pos
     return hierarchy
@@ -314,8 +394,7 @@ def up_influence_inverse(level: HierarchyLevel, query: int) -> set[int]:
 def up_influence_trilinear(level: HierarchyLevel, prev_positions: np.ndarray, query: int) -> set[int]:
     """Influence set of the asymmetric baseline: the query interpolates its 3
     nearest sampled points, each of which saw its own down-map neighborhood."""
-    d2 = _pairwise_sq(prev_positions[query : query + 1], level.positions)[0]
-    order = np.argsort(d2, kind="stable")[: min(3, len(level.positions))]
+    order = knn(level.positions, prev_positions[query : query + 1], min(3, len(level.positions))).indices[0]
     out: set[int] = set()
     for j in order:
         out.update(level.down_map.indices[j].tolist())

@@ -28,7 +28,7 @@ from .autodiff import (
     segment_sum,
     transpose_last2,
 )
-from .geom import InverseNeighborMap, NeighborMap, _pairwise_sq
+from .geom import InverseNeighborMap, NeighborMap, knn
 from .nn import LayerNorm, Linear, Mlp2, ParamStore, Rng
 
 __all__ = [
@@ -213,7 +213,7 @@ def hier_up_mix(
             if len(pos_s) == 0:
                 raise ValueError("cannot resolve fallback neighbors for an empty sampled set")
             if fallback is None:
-                fb = np.argmin(_pairwise_sq(pos_o[empty], pos_s), axis=1)
+                fb = knn(pos_s, pos_o[empty], 1).indices[:, 0]
             else:
                 fb = np.asarray(fallback, dtype=np.int64)[empty]
             new_lengths = lengths.copy()

@@ -107,8 +107,6 @@ class NetworkConfig:
                 "token-MLP mixing cannot run over inverse maps (variable cardinality); "
                 "disable inter-set mixing for this variant"
             )
-        if isinstance(self.head, DenseHead) and len(self.levels) > 1 and not self.levels:
-            raise ValueError("unreachable")
 
 
 @dataclass

@@ -6,6 +6,7 @@ against central finite differences in the test suite.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -298,19 +299,26 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]):
             fh.write(data.tobytes())
 
 
+def _read_exact(fh, n: int) -> bytes:
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise ValueError(f"truncated checkpoint: {n} more bytes needed, {left} left")
+    return fh.read(n)
+
+
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"bad checkpoint magic: {magic!r}")
-        (count,) = struct.unpack("<Q", fh.read(8))
+        (count,) = struct.unpack("<Q", _read_exact(fh, 8))
         out: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{rank}Q", fh.read(8 * rank)) if rank else ()
+            (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
+            name = _read_exact(fh, name_len).decode("utf-8")
+            (rank,) = struct.unpack("<I", _read_exact(fh, 4))
+            shape = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank)) if rank else ()
             n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape)
+            data = np.frombuffer(_read_exact(fh, 8 * n), dtype="<f8").reshape(shape)
             out[name] = data.astype(np.float64)
     return out

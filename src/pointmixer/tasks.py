@@ -19,7 +19,7 @@ import numpy as np
 
 from . import net as net_mod
 from .autodiff import Tensor, no_grad, reduce_sum, gather_rows, _make
-from .geom import PointCloud
+from .geom import PointCloud, nearest
 from .nn import Rng, cosine_lr, sgd_step, step_lr
 
 __all__ = [
@@ -233,17 +233,12 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return _make(np.float64(loss), (logits,), bwd, "cross_entropy")
 
 
-def _nearest_indices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1)
-
-
 def chamfer_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     """Differentiable squared chamfer: correspondence indices are frozen from
     the current prediction, gradients flow through the coordinates."""
     tgt = np.asarray(target, dtype=np.float64)
-    idx_ab = _nearest_indices(pred.data, tgt)
-    idx_ba = _nearest_indices(tgt, pred.data)
+    idx_ab, _ = nearest(tgt, pred.data)
+    idx_ba, _ = nearest(pred.data, tgt)
     d_ab = pred - Tensor(tgt[idx_ab])
     d_ba = gather_rows(pred, idx_ba) - Tensor(tgt)
     fwd = reduce_sum(d_ab * d_ab) * (1.0 / len(pred.data))
@@ -260,16 +255,18 @@ def chamfer(a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     if len(a) == 0 or len(b) == 0:
         raise ValueError("empty point set")
-    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    return 0.5 * (np.sqrt(d2.min(axis=1)).mean() + np.sqrt(d2.min(axis=0)).mean())
+    _, ab = nearest(b, a)
+    _, ba = nearest(a, b)
+    return 0.5 * (np.sqrt(ab).mean() + np.sqrt(ba).mean())
 
 
 def default_tau(gt) -> float:
     """Twice the mean nearest-neighbor spacing of the reference cloud."""
     gt = np.asarray(gt, dtype=np.float64)
-    d2 = ((gt[:, None, :] - gt[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    return 2.0 * float(np.sqrt(d2.min(axis=1)).mean())
+    if len(gt) == 0:
+        raise ValueError("empty point set")
+    _, d2 = nearest(gt, gt, exclude_self=True)
+    return 2.0 * float(np.sqrt(d2).mean())
 
 
 def occupancy_metrics(pred, gt, tau: float) -> tuple[float, float, float]:
@@ -280,9 +277,10 @@ def occupancy_metrics(pred, gt, tau: float) -> tuple[float, float, float]:
     gt = np.asarray(gt, dtype=np.float64)
     if len(pred) == 0 or len(gt) == 0:
         raise ValueError("empty point set")
-    d2 = ((pred[:, None, :] - gt[None, :, :]) ** 2).sum(axis=2)
-    acc = float((np.sqrt(d2.min(axis=1)) <= tau).mean())
-    cp = float((np.sqrt(d2.min(axis=0)) <= tau).mean())
+    _, pred_gt = nearest(gt, pred)
+    _, gt_pred = nearest(pred, gt)
+    acc = float((np.sqrt(pred_gt) <= tau).mean())
+    cp = float((np.sqrt(gt_pred) <= tau).mean())
     f1 = 0.0 if acc + cp == 0 else 2 * acc * cp / (acc + cp)
     return acc, cp, f1
 

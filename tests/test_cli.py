@@ -216,6 +216,43 @@ def test_eval_missing_checkpoint_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_eval_truncated_checkpoint_exits_3(tmp_path, capsys):
+    cfg_path, ckpt, data_dir = eval_fixture(tmp_path, capsys)
+    cut = tmp_path / "cut.pmix"
+    cut.write_bytes(ckpt.read_bytes()[:9])
+    code, _, err = run_cli(capsys, "eval", "--config", str(cfg_path),
+                           "--checkpoint", str(cut), "--data", str(data_dir))
+    assert code == 3
+    assert "truncated checkpoint" in err
+
+
+def test_train_resume_from_truncated_checkpoint_exits_3(tmp_path, capsys):
+    cfg_path = tiny_train_config(tmp_path, "first", **{"train.epochs": 0})
+    assert run_cli(capsys, "train", str(cfg_path))[0] == 0
+    whole = (tmp_path / "first" / "model.pmix").read_bytes()
+    cut = tmp_path / "cut.pmix"
+    cut.write_bytes(whole[: len(whole) // 2])
+    resume_cfg = tiny_train_config(tmp_path, "resumed", **{"train.resume": str(cut)})
+    code, _, err = run_cli(capsys, "train", str(resume_cfg))
+    assert code == 3
+    assert "truncated checkpoint" in err
+
+
+def test_eval_non_finite_feature_exits_3(tmp_path, capsys):
+    cfg_path, ckpt, data_dir = eval_fixture(tmp_path, capsys)
+    cloud_path = data_dir / "test" / "cloud_00000.pmc"
+    lines = cloud_path.read_text().splitlines()
+    fields = lines[1].split()
+    fields[3] = "nan"  # the first feature channel of the first point
+    lines[1] = " ".join(fields)
+    cloud_path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "eval", "--config", str(cfg_path),
+                             "--checkpoint", str(ckpt), "--data", str(data_dir))
+    assert code == 3
+    assert "non-finite features" in err
+    assert out == ""
+
+
 # -- gradcheck ---------------------------------------------------------------------
 
 

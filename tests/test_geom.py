@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,111 @@ def test_knn_deterministic_and_counted():
     b = geom.knn(pts, pts, 8)
     assert np.array_equal(a.indices, b.indices)
     assert geom.knn_call_count() == before + 2
+
+
+def dense_knn(src, qry, k):
+    """The brute-force search geom.knn must reproduce bit for bit: the full
+    squared-distance matrix in the library's own expression, stably sorted.
+    (oracles.knn_rows sums the squares in another order, so on non-integer
+    coordinates the two may break last-bit near-ties differently.)"""
+    diff = qry[:, None, :] - src[None, :, :]
+    return np.argsort(np.einsum("ijk,ijk->ij", diff, diff), axis=1, kind="stable")[:, :k]
+
+
+def tie_heavy_cloud(kind, rng, n):
+    if kind == "grid":
+        return rng.integers(0, 7, (n, 3)).astype(float)
+    if kind == "rounded":
+        return np.round(rng.uniform(-0.4, 0.4, (n, 3)), 1)
+    base = random_cloud(rng, n // 8)
+    return np.repeat(base, 8, axis=0)[rng.permutation(n)]
+
+
+@pytest.fixture
+def dense_rows(monkeypatch):
+    """Counts the query rows that the search sends to its dense fallback."""
+    rows = []
+    blocks = geom._dense_blocks
+
+    def spy(queries, sources):
+        rows.append(len(queries))
+        return blocks(queries, sources)
+
+    monkeypatch.setattr(geom, "_dense_blocks", spy)
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["grid", "rounded", "dup8"])
+@pytest.mark.parametrize("seed", range(3))
+def test_knn_tie_heavy_inputs_match_bruteforce(kind, seed, dense_rows):
+    rng = np.random.default_rng(200 + seed)
+    src = tie_heavy_cloud(kind, rng, 480)  # far more points than k + slack
+    qry = np.concatenate([src[rng.permutation(480)[:150]], tie_heavy_cloud(kind, rng, 48)])
+    for k in (1, 9, 16):
+        m = geom.knn(src, qry, k)
+        assert np.array_equal(m.indices, dense_knn(src, qry, k))
+        if kind != "rounded":  # exact arithmetic: the textbook oracle agrees too
+            assert np.array_equal(m.indices, oracles.knn_rows(src, qry, k))
+    # the tree answered most rows; tied rows took the exact fallback
+    if kind != "dup8":
+        assert 0 < sum(dense_rows) < 3 * len(qry)
+
+
+def test_knn_memory_stays_linear_at_scan_size():
+    pts = random_cloud(np.random.default_rng(4), 16384)
+    tracemalloc.start()
+    try:
+        m = geom.knn(pts, pts, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dense 16384 x 16384 x 3 difference tensor alone would take 6.4 GB
+    assert peak < 64 * 2**20
+    assert np.array_equal(m.indices[::1024], oracles.knn_rows(pts, pts[::1024], 16))
+
+
+def dense_nearest(src, qry, exclude_self=False):
+    diff = qry[:, None, :] - src[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    if exclude_self:
+        np.fill_diagonal(d2, np.inf)
+    return np.argmin(d2, axis=1), d2.min(axis=1)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "grid", "dup8"])
+def test_nearest_matches_dense_argmin(kind):
+    rng = np.random.default_rng(9)
+    src = random_cloud(rng, 400) if kind == "uniform" else tie_heavy_cloud(kind, rng, 400)
+    qry = np.concatenate([random_cloud(rng, 50), src[:50]])
+    for exclude_self, a, b in ((False, src, qry), (True, src, src)):
+        idx, d2 = geom.nearest(a, b, exclude_self=exclude_self)
+        want_idx, want_d2 = dense_nearest(a, b, exclude_self)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(d2, want_d2)
+
+
+def test_nearest_excludes_self_by_index_not_position():
+    pts = np.array([[0.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0]])
+    idx, d2 = geom.nearest(pts, pts, exclude_self=True)
+    assert idx.tolist() == [1, 0, 0]
+    assert d2.tolist() == [0.0, 0.0, 1.0]
+    idx, d2 = geom.nearest(pts[:1], pts[:1], exclude_self=True)
+    assert d2.tolist() == [np.inf]
+
+
+def test_nearest_non_finite_rows_follow_the_dense_min():
+    rng = np.random.default_rng(10)
+    src = random_cloud(rng, 60)
+    qry = random_cloud(rng, 12)
+    qry[3] = np.nan
+    qry[5, 1] = np.inf
+    idx, d2 = geom.nearest(src, qry)
+    want_idx, want_d2 = dense_nearest(src, qry)
+    assert np.array_equal(idx, want_idx)
+    assert np.array_equal(d2, want_d2, equal_nan=True)
+    assert np.isnan(d2[3]) and d2[5] == np.inf
+    src[7] = np.nan  # one bad source poisons every row, as in the dense min
+    assert np.all(np.isnan(geom.nearest(src, qry)[1]))
 
 
 # -- invert_map ----------------------------------------------------------------
@@ -291,5 +398,7 @@ def test_point_cloud_validation():
         geom.PointCloud(np.array([[np.inf, 0, 0]]), np.zeros((1, 0))).validate()
     with pytest.raises(ValueError):
         geom.PointCloud(np.zeros((2, 3)), np.zeros((3, 1))).validate()
+    with pytest.raises(ValueError, match="non-finite features"):
+        geom.PointCloud(np.zeros((2, 3)), np.array([[0.0], [np.nan]])).validate()
     with pytest.raises(ValueError):
         good.validate(num_classes=1)

@@ -168,6 +168,24 @@ def test_hier_up_fallback_to_nearest_sample():
     assert np.allclose(y.data, np.repeat(g3, 3, axis=0), atol=1e-12)
 
 
+def test_hier_up_counts_its_own_fallback_search():
+    store, p = make_params(3, seed=50)
+    rng = np.random.default_rng(500)
+    pts_o = rng.uniform(-1, 1, (9, 3))
+    x_s = Tensor(rng.normal(size=(3, 3)))
+    outputs = []
+    for use_stored, searches in ((False, 1), (True, 0)):
+        # a fresh hierarchy each time: up-sampling edges are cached on the inverse
+        lv = geom.build_hierarchy(pts_o, [1.0 / 3.0], k=1).levels[1]
+        assert np.any(lv.down_inverse.row_lengths() == 0)
+        before = geom.knn_call_count()
+        y = mixer.hier_up_mix(x_s, lv.positions, pts_o, lv.down_inverse, p, skip=None,
+                              fallback=lv.up_fallback if use_stored else None)
+        assert geom.knn_call_count() - before == searches
+        outputs.append(y.data)
+    assert np.array_equal(outputs[0], outputs[1])
+
+
 def test_hier_up_matches_dense_loop_oracle_and_adds_skip():
     store, p = make_params(4, seed=10)
     rng = np.random.default_rng(8)

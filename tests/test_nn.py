@@ -380,6 +380,17 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
         nn.load_checkpoint(path)
 
 
+def test_checkpoint_truncated_anywhere_is_a_value_error(tmp_path):
+    path = tmp_path / "model.pmix"
+    nn.save_checkpoint(path, {"enc.W": np.ones((2, 3)), "scalar": np.array(1.5)})
+    whole = path.read_bytes()
+    cut = tmp_path / "cut.pmix"
+    for size in range(5, len(whole)):
+        cut.write_bytes(whole[:size])
+        with pytest.raises(ValueError, match="truncated checkpoint"):
+            nn.load_checkpoint(cut)
+
+
 def test_finite_check_flag_catches_overflow():
     autodiff.set_check_finite(True)
     try:

@@ -298,6 +298,73 @@ def test_default_tau_is_twice_mean_spacing():
     assert tasks.default_tau(gt) == pytest.approx(8 / 3)
 
 
+def dense_metrics(pred, gt, tau=None):
+    """The metrics as full distance matrices: (cd, tau, acc, cp)."""
+    d2 = ((pred[:, None, :] - gt[None, :, :]) ** 2).sum(axis=2)
+    cd = 0.5 * (np.sqrt(d2.min(axis=1)).mean() + np.sqrt(d2.min(axis=0)).mean())
+    self_d2 = ((gt[:, None, :] - gt[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(self_d2, np.inf)
+    if tau is None:
+        tau = 2.0 * float(np.sqrt(self_d2.min(axis=1)).mean())
+    acc = float((np.sqrt(d2.min(axis=1)) <= tau).mean())
+    cp = float((np.sqrt(d2.min(axis=0)) <= tau).mean())
+    return cd, tau, acc, cp
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_recon_metrics_match_dense_formulas(seed):
+    rng = np.random.default_rng(40 + seed)
+    gt = rng.normal(size=(int(rng.integers(30, 600)), 3))
+    if seed % 2:
+        gt = np.round(np.concatenate([gt, gt[::3], gt[::5]]), 1)  # duplicate targets
+    pred = gt[rng.integers(0, len(gt), int(rng.integers(20, 400)))]
+    pred = pred + rng.normal(scale=0.05, size=pred.shape)
+    cd, tau, acc, cp = dense_metrics(pred, gt)
+    # the search sums the squares in its own order: last-bit differences only
+    assert tasks.chamfer(pred, gt) == pytest.approx(cd, rel=1e-12, abs=0)
+    assert tasks.default_tau(gt) == pytest.approx(tau, rel=1e-12, abs=0)
+    assert tasks.occupancy_metrics(pred, gt, tau)[:2] == (acc, cp)
+
+
+def test_default_tau_counts_duplicates_as_zero_spacing():
+    gt = np.array([[0.0, 0, 0], [0.0, 0, 0], [3.0, 0, 0]])
+    # spacings 0, 0 (each duplicate sees the other) and 3 -> mean 1
+    assert tasks.default_tau(gt) == 2.0
+    assert tasks.default_tau(gt[:1]) == np.inf
+    with pytest.raises(ValueError):
+        tasks.default_tau(np.zeros((0, 3)))
+
+
+def test_recon_metrics_with_nan_predictions_follow_the_dense_formulas():
+    rng = np.random.default_rng(5)
+    gt = rng.normal(size=(200, 3))
+    pred = gt[:120] + rng.normal(scale=0.01, size=(120, 3))
+    pred[[4, 77]] = np.nan
+    tau = tasks.default_tau(gt)
+    assert np.isnan(tasks.chamfer(pred, gt))
+    acc, cp, f1 = tasks.occupancy_metrics(pred, gt, tau)
+    # NaN rows count as misses; every target then sees a NaN distance
+    assert (acc, cp) == dense_metrics(pred, gt, tau)[2:]
+    assert acc == pytest.approx(118 / 120) and cp == 0.0 and f1 == 0.0
+
+
+def test_chamfer_loss_with_nan_prediction_stops_training():
+    rng = np.random.default_rng(6)
+    tgt = rng.normal(size=(40, 3))
+    pred = tgt[:30].copy()
+    pred[3, 0] = np.nan
+    assert not np.isfinite(tasks.chamfer_loss(Tensor(pred), tgt).data)
+    spec = tasks.DatasetSpec(task="recon", points=64, train_clouds=2, test_clouds=0, seed=0)
+    ds = tasks.gen_dataset(spec)
+    cfg = net.NetworkConfig(
+        levels=[net.LevelSpec(8, 1, 1.0), net.LevelSpec(12, 1, 0.5)],
+        head=net.DenseHead(3), k=4, in_channels=3)
+    network = net.build_network(cfg, nn.Rng(0))
+    network.head_fc2.b.data[:] = np.nan
+    with pytest.raises(tasks.TrainingDiverged):
+        tasks.train(network, ds, tasks.Schedule(epochs=1), epochs=1, batch=2, rng=nn.Rng(0))
+
+
 def test_occupancy_rejects_empty_and_bad_tau():
     gt = np.zeros((2, 3))
     with pytest.raises(ValueError):
