@@ -15,6 +15,7 @@ import contextlib
 import weakref
 
 import numpy as np
+from scipy import sparse
 from scipy.special import erf
 
 __all__ = [
@@ -23,9 +24,11 @@ __all__ = [
     "no_grad",
     "set_check_finite",
     "concat_last",
+    "slice_last",
     "gather_rows",
     "scatter_add",
     "segment_sum",
+    "csr_weighted_sum",
     "segment_softmax",
     "segment_max",
     "inject_backward_fault",
@@ -301,22 +304,29 @@ def matmul(a, b) -> Tensor:
     return _make(a.data @ b.data, (a, b), bwd, "matmul")
 
 
-def linear(x, W, b) -> Tensor:
-    """Fused y = x W^T + b over the last axis; W is (out, in)."""
-    x, W, b = as_tensor(x), as_tensor(W), as_tensor(b)
+def linear(x, W, b=None) -> Tensor:
+    """Fused y = x W^T + b over the last axis; W is (out, in), ``b=None``
+    means no bias."""
+    x, W = as_tensor(x), as_tensor(W)
     if x.data.shape[-1] != W.data.shape[-1]:
         raise ValueError(f"linear: input width {x.data.shape[-1]} != fan-in {W.data.shape[-1]}")
     lead = x.data.shape[:-1]
     x2 = x.data.reshape(-1, x.data.shape[-1])
-    out = x2 @ W.data.T + b.data
+    out = x2 @ W.data.T
+    parents = (x, W)
+    if b is not None:
+        b = as_tensor(b)
+        out += b.data
+        parents = (x, W, b)
 
     def bwd(g):
         g2 = g.reshape(-1, W.data.shape[0])
         x._accumulate((g2 @ W.data).reshape(x.data.shape))
         W._accumulate(g2.T @ x2)
-        b._accumulate(g2.sum(axis=0))
+        if b is not None:
+            b._accumulate(g2.sum(axis=0))
 
-    return _make(out.reshape(lead + (W.data.shape[0],)), (x, W, b), bwd, "linear")
+    return _make(out.reshape(lead + (W.data.shape[0],)), parents, bwd, "linear")
 
 
 def reshape(a, shape) -> Tensor:
@@ -348,6 +358,19 @@ def concat_last(parts) -> Tensor:
             p._accumulate(piece)
 
     return _make(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), bwd, "concat")
+
+
+def slice_last(a, start: int, stop: int) -> Tensor:
+    """Entries ``start:stop`` of the last axis, e.g. a column block of a
+    weight matrix; the gradient lands in those columns only."""
+    a = as_tensor(a)
+
+    def bwd(g):
+        full = np.zeros_like(a.data)
+        full[..., start:stop] = g
+        a._accumulate(full)
+
+    return _make(np.ascontiguousarray(a.data[..., start:stop]), (a,), bwd, "slice")
 
 
 # -- reductions -----------------------------------------------------------
@@ -396,17 +419,27 @@ def max_axis1(a) -> Tensor:
 # -- indexing -------------------------------------------------------------
 
 
+def _check_offsets(off: np.ndarray, rows: int):
+    if off.ndim != 1 or len(off) == 0 or off[0] != 0 or off[-1] != rows or np.any(np.diff(off) < 0):
+        raise ValueError("malformed CSR offsets")
+
+
 def gather_rows(x, indices) -> Tensor:
-    """Copy rows of ``x`` (first axis) at ``indices``."""
+    """Copy rows of ``x`` (first axis) at ``indices``. The backward sums
+    the row gradients back with one sparse transpose product."""
     x = as_tensor(x)
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
         raise IndexError("gather_rows index out of range")
 
     def bwd(g):
+        n = idx.size
+        sel = sparse.csr_array((np.ones(n, dtype=g.dtype), idx.ravel(), np.arange(n + 1)), shape=(n, x.data.shape[0]))
+        gx = (sel.T @ g.reshape(n, int(np.prod(x.data.shape[1:])))).reshape(x.data.shape)
         if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        np.add.at(x.grad, idx, g)
+            x.grad = gx.astype(x.data.dtype, copy=False)
+        else:
+            x.grad += gx
 
     return _make(x.data[idx], (x,), bwd, "gather")
 
@@ -426,25 +459,54 @@ def scatter_add(values, indices, out_rows: int) -> Tensor:
     return _make(out, (v,), bwd, "scatter_add")
 
 
-def _csr_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per-segment sums for contiguous CSR segments via prefix differences."""
-    prefix = np.concatenate(
-        [np.zeros((1,) + values.shape[1:], dtype=values.dtype), np.cumsum(values, axis=0)]
-    )
-    return prefix[offsets[1:]] - prefix[offsets[:-1]]
+def _segment_reduce(ufunc, values: np.ndarray, off: np.ndarray, empty=0.0) -> np.ndarray:
+    """``ufunc.reduceat`` over contiguous CSR row segments, ``empty`` for
+    empty segments. Each segment reduces on its own, so a sum's rounding
+    error grows with its segment's length, not with the total row count."""
+    out = np.full((len(off) - 1,) + values.shape[1:], empty, dtype=values.dtype)
+    nonempty = off[1:] > off[:-1]
+    if np.any(nonempty):
+        out[nonempty] = ufunc.reduceat(values, off[:-1][nonempty], axis=0)
+    return out
 
 
 def segment_sum(values, offsets) -> Tensor:
     """Sum contiguous row segments given CSR ``offsets``; empty segments yield 0."""
     v = as_tensor(values)
     off = np.asarray(offsets, dtype=np.int64)
+    _check_offsets(off, v.data.shape[0])
     lengths = np.diff(off)
     seg_ids = np.repeat(np.arange(len(lengths)), lengths)
 
     def bwd(g):
         v._accumulate(g[seg_ids])
 
-    return _make(_csr_sum(v.data, off), (v,), bwd, "segment_sum")
+    return _make(_segment_reduce(np.add, v.data, off), (v,), bwd, "segment_sum")
+
+
+def csr_weighted_sum(weights, values, src, offsets) -> Tensor:
+    """``out[i] = sum_e weights[e] * values[src[e]]`` over the edges e of CSR
+    segment i: the gather of ``values`` by ``src``, the per-edge scaling and
+    the segment sum as one sparse (segments, rows) product ``A @ values``.
+    Empty segments yield 0. The backward is ``A^T @ g`` for the values and
+    ``<g[segment of e], values[src[e]]>`` for each edge weight."""
+    w, v = as_tensor(weights), as_tensor(values)
+    col = np.asarray(src, dtype=np.int64)
+    off = np.asarray(offsets, dtype=np.int64)
+    if w.data.shape != col.shape or col.ndim != 1:
+        raise ValueError("csr_weighted_sum expects one weight per edge")
+    _check_offsets(off, len(col))
+    if col.size and (col.min() < 0 or col.max() >= v.data.shape[0]):
+        raise IndexError("csr_weighted_sum index out of range")
+    a = sparse.csr_array((w.data, col, off), shape=(len(off) - 1, v.data.shape[0]))
+
+    def bwd(g):
+        prod = g[np.repeat(np.arange(len(off) - 1), np.diff(off))]
+        prod *= v.data[col]
+        w._accumulate(prod.sum(axis=1))
+        v._accumulate(a.T @ g)
+
+    return _make(a @ v.data, (w, v), bwd, "csr_weighted_sum")
 
 
 # -- nonlinearities & normalization ---------------------------------------
@@ -494,21 +556,15 @@ def segment_softmax(scores, offsets) -> Tensor:
     off = np.asarray(offsets, dtype=np.int64)
     if s.data.ndim not in (1, 2):
         raise ValueError("segment_softmax expects a flat or (rows, channels) score tensor")
-    if off.ndim != 1 or off[0] != 0 or off[-1] != s.data.shape[0] or np.any(np.diff(off) < 0):
-        raise ValueError("malformed CSR offsets")
+    _check_offsets(off, s.data.shape[0])
     lengths = np.diff(off)
     seg_ids = np.repeat(np.arange(len(lengths)), lengths)
-    if s.data.shape[0]:
-        seg_max = np.full((len(lengths),) + s.data.shape[1:], -np.inf, dtype=s.data.dtype)
-        np.maximum.at(seg_max, seg_ids, s.data)
-        e = np.exp(s.data - seg_max[seg_ids])
-        denom = _csr_sum(e, off)
-        p = e / denom[seg_ids]
-    else:
-        p = np.zeros_like(s.data)
+    seg_max = _segment_reduce(np.maximum, s.data, off, -np.inf)
+    e = np.exp(s.data - seg_max[seg_ids])
+    p = e / _segment_reduce(np.add, e, off)[seg_ids]
 
     def bwd(g):
-        dot = _csr_sum(p * g, off)
+        dot = _segment_reduce(np.add, p * g, off)
         s._accumulate(p * (g - dot[seg_ids]))
 
     return _make(p, (s,), bwd, "segment_softmax")

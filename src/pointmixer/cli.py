@@ -303,6 +303,18 @@ def _gradcheck_cases(seed: int):
     u4 = Tensor(rng.normal(size=(4, 3)))
     cases.append(("scatter_add", lambda: autodiff.reduce_sum(nn.scatter_add(vals, idx, 4) * u4), [vals]))
 
+    rows = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    dup = np.array([2, 0, 2, 3, 2])
+    u5 = Tensor(rng.normal(size=(5, 3)))
+    cases.append(("gather_rows", lambda: autodiff.reduce_sum(nn.gather_rows(rows, dup) * u5), [rows]))
+
+    edge_w = Tensor(rng.normal(size=9), requires_grad=True)
+    src9 = np.array([1, 3, 3, 0, 2, 3, 1, 0, 2])
+    cases.append(
+        ("csr_weighted_sum",
+         lambda: autodiff.reduce_sum(autodiff.csr_weighted_sum(edge_w, rows, src9, off) * u4), [edge_w, rows])
+    )
+
     pts = rng.uniform(-1, 1, (8, 3))
     m = geom.knn(pts, pts, 3)
     inv = geom.invert_map(m)

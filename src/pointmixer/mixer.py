@@ -7,6 +7,15 @@ The central layer scores each (query, neighbor) edge with a scalar
 softmax over the neighbor axis, and sums ``g3(x_j)`` under those weights.
 Because the softmax runs over CSR segments, the same kernel serves fixed-K
 forward maps, variable-cardinality inverse maps, and hierarchy transitions.
+
+Work that depends on ``x_j`` alone runs once per source point, not once per
+edge: a linear layer commutes with a row gather, so ``g1``, ``g3`` and the
+feature columns of g2's first layer are applied to the N source rows and
+only their results are gathered. Per edge remain ``delta(p_i - p_j)``, the
+positional columns of g2's first layer, the GELU and g2's second layer. The
+value sum is one sparse (queries, sources) product of the softmax weights
+with ``g3(x)`` (``autodiff.csr_weighted_sum``). The vector-attention variant
+likewise projects ``w1``/``w2``/``w3`` per point before gathering.
 """
 
 from __future__ import annotations
@@ -19,13 +28,17 @@ from .autodiff import (
     Tensor,
     as_tensor,
     concat_last,
+    csr_weighted_sum,
     gather_rows,
+    gelu,
+    linear,
     max_axis1,
     reduce_mean,
     reshape,
     segment_max,
     segment_softmax,
     segment_sum,
+    slice_last,
     transpose_last2,
 )
 from .geom import InverseNeighborMap, NeighborMap, knn
@@ -123,15 +136,19 @@ def _softmax_mix_edges(
     offsets: np.ndarray,
     params: PointMixerParams,
 ) -> Tensor:
-    """Shared edge kernel: score, normalize per query segment, mix values."""
+    """Shared edge kernel: score, normalize per query segment, mix values.
+
+    ``g2``'s first layer acts on ``[g1(x_j); pe]``, so it splits by columns
+    into a per-point term (with the bias) and a per-edge positional term.
+    """
     _check_width(x_src, params.width)
-    xj = gather_rows(x_src, src)
-    rel = pos_q[dst] - pos_s[src]
-    pe = params.delta(rel)
-    scores = params.g2(concat_last([params.g1(xj), pe]))
+    fc1, c = params.g2.fc1, params.width
+    hidden = linear(params.g1(x_src), slice_last(fc1.W, 0, c), fc1.b)
+    pe = params.delta(pos_q[dst] - pos_s[src])
+    hidden = gather_rows(hidden, src) + linear(pe, slice_last(fc1.W, c, c + params.pe_width))
+    scores = params.g2.fc2(gelu(hidden))
     weights = segment_softmax(reshape(scores, (len(src),)), offsets)
-    values = params.g3(xj) * reshape(weights, (len(src), 1))
-    return segment_sum(values, offsets)
+    return csr_weighted_sum(weights, params.g3(x_src), src, offsets)
 
 
 def _forward_edges(m: NeighborMap):
@@ -146,16 +163,12 @@ def _forward_edges(m: NeighborMap):
     return m._edge_cache
 
 
-def _inverse_edges(inv: InverseNeighborMap, require_nonempty=True):
+def _inverse_edges(inv: InverseNeighborMap):
     cached = getattr(inv, "_edge_cache", None)
     if cached is None:
-        lengths = inv.row_lengths()
-        dst = np.repeat(np.arange(inv.source_count, dtype=np.int64), lengths)
-        inv._edge_cache = (dst, inv.indices, inv.offsets, bool(np.any(lengths == 0)))
-        cached = inv._edge_cache
-    if require_nonempty and cached[3]:
-        raise ValueError("empty inverse row: map is not a same-level inverse")
-    return cached[:3]
+        dst = np.repeat(np.arange(inv.source_count, dtype=np.int64), inv.row_lengths())
+        inv._edge_cache = cached = (dst, inv.indices, inv.offsets)
+    return cached
 
 
 def intra_set_mix(x, positions, m: NeighborMap, params: PointMixerParams) -> Tensor:
@@ -168,8 +181,10 @@ def intra_set_mix(x, positions, m: NeighborMap, params: PointMixerParams) -> Ten
 def inter_set_mix(x, positions, inv: InverseNeighborMap, params: PointMixerParams) -> Tensor:
     """Mix each query with every point whose neighborhood contains it.
 
-    Row cardinality varies, so normalization runs over CSR segments; a
-    same-level inverse is required (every row non-empty)."""
+    Row cardinality varies, so normalization runs over CSR segments. A row
+    can be empty: with more than k coincident copies of a point, some copies
+    sit in no neighborhood. An empty row mixes nothing and gives a zero
+    vector, so inside a residual block the point's features pass through."""
     pos = np.asarray(positions, dtype=np.float64)
     dst, src, offsets = _inverse_edges(inv)
     return _softmax_mix_edges(as_tensor(x), pos, pos, dst, src, offsets, params)
@@ -230,7 +245,7 @@ def hier_up_mix(
             dst = np.repeat(np.arange(len(new_lengths), dtype=np.int64), new_lengths)
             cached = (dst, src, offsets)
         else:
-            cached = _inverse_edges(inv_os, require_nonempty=False)
+            cached = _inverse_edges(inv_os)
         inv_os._up_edge_cache = cached
     dst, src, offsets = cached
     mixed = _softmax_mix_edges(x_s, pos_o, pos_s, dst, src, offsets, params)
@@ -245,7 +260,8 @@ def hier_up_mix(
 @dataclass
 class MaxPoolParams:
     """Max-pool aggregation: elementwise max over neighbors of an MLP applied
-    to [x_j; p_i - p_j]."""
+    to [x_j; p_i - p_j]. A max over no neighbors is undefined, so an inverse
+    map with an empty row raises ``segment_max``'s ValueError."""
 
     mlp: Mlp2
     width: int
@@ -342,11 +358,10 @@ def _attention_mix(x, positions, index_map, v: VectorAttentionParams) -> Tensor:
         dst, src, offsets = _forward_edges(index_map)
     else:
         dst, src, offsets = _inverse_edges(index_map)
-    xi = gather_rows(x, dst)
-    xj = gather_rows(x, src)
     pe = v.delta(pos[dst] - pos[src])
-    weights = segment_softmax(v.psi(v.w1(xi) - v.w2(xj) + pe), offsets)
-    return segment_sum(weights * (v.w3(xj) + pe), offsets)
+    logits = gather_rows(v.w1(x), dst) - gather_rows(v.w2(x), src) + pe
+    weights = segment_softmax(v.psi(logits), offsets)
+    return segment_sum(weights * (gather_rows(v.w3(x), src) + pe), offsets)
 
 
 def _token_mlp_mix(x, positions, index_map, v: TokenMlpParams) -> Tensor:

@@ -249,15 +249,30 @@ def chamfer_loss(pred: Tensor, target: np.ndarray) -> Tensor:
 # -- metrics -------------------------------------------------------------------
 
 
-def chamfer(a, b) -> float:
-    """Symmetric mean nearest-neighbor (non-squared) distance."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+def _nearest_sq(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distance from each point of ``a`` to its nearest in ``b``,
+    and from each point of ``b`` to its nearest in ``a``."""
     if len(a) == 0 or len(b) == 0:
         raise ValueError("empty point set")
-    _, ab = nearest(b, a)
-    _, ba = nearest(a, b)
+    return nearest(b, a)[1], nearest(a, b)[1]
+
+
+def _chamfer_from(ab: np.ndarray, ba: np.ndarray) -> float:
     return 0.5 * (np.sqrt(ab).mean() + np.sqrt(ba).mean())
+
+
+def _occupancy_from(pred_gt: np.ndarray, gt_pred: np.ndarray, tau: float) -> tuple[float, float, float]:
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    acc = float((np.sqrt(pred_gt) <= tau).mean())
+    cp = float((np.sqrt(gt_pred) <= tau).mean())
+    f1 = 0.0 if acc + cp == 0 else 2 * acc * cp / (acc + cp)
+    return acc, cp, f1
+
+
+def chamfer(a, b) -> float:
+    """Symmetric mean nearest-neighbor (non-squared) distance."""
+    return _chamfer_from(*_nearest_sq(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)))
 
 
 def default_tau(gt) -> float:
@@ -271,18 +286,9 @@ def default_tau(gt) -> float:
 
 def occupancy_metrics(pred, gt, tau: float) -> tuple[float, float, float]:
     """(accuracy, completeness, F1) at threshold tau."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
-    if len(pred) == 0 or len(gt) == 0:
-        raise ValueError("empty point set")
-    _, pred_gt = nearest(gt, pred)
-    _, gt_pred = nearest(pred, gt)
-    acc = float((np.sqrt(pred_gt) <= tau).mean())
-    cp = float((np.sqrt(gt_pred) <= tau).mean())
-    f1 = 0.0 if acc + cp == 0 else 2 * acc * cp / (acc + cp)
-    return acc, cp, f1
+    return _occupancy_from(*_nearest_sq(pred, gt), tau)
 
 
 def segmentation_metrics(pred_labels, gt_labels, num_classes: int) -> tuple[float, float, float]:
@@ -447,9 +453,11 @@ def evaluate(network, clouds, task: str, num_classes: int = 0,
             for cloud, target in zip(clouds, targets):
                 offsets = net_mod.forward_dense(network, cloud)
                 pred = cloud.positions + offsets.data
-                cds.append(chamfer(pred, target))
+                # one pair of nearest searches serves chamfer and occupancy
+                pred_gt, gt_pred = _nearest_sq(pred, target)
+                cds.append(_chamfer_from(pred_gt, gt_pred))
                 t = tau if tau is not None else default_tau(target)
-                a, c, f = occupancy_metrics(pred, target, t)
+                a, c, f = _occupancy_from(pred_gt, gt_pred, t)
                 accs.append(a)
                 cps.append(c)
                 f1s.append(f)

@@ -103,11 +103,14 @@ def test_inter_matches_dense_loop_oracle():
     assert np.allclose(y.data, expected, atol=1e-10)
 
 
-def test_inter_rejects_empty_rows():
-    _, p = make_params(2)
+def test_inter_empty_rows_mix_to_zero():
+    store, p = make_params(2)
     inv = geom.invert_map(geom.NeighborMap(np.array([[1], [1]]), source_count=2))
-    with pytest.raises(ValueError):
-        mixer.inter_set_mix(Tensor(np.zeros((2, 2))), np.zeros((2, 3)), inv, p)
+    x = np.random.default_rng(9).normal(size=(2, 2))
+    y = mixer.inter_set_mix(Tensor(x), np.zeros((2, 3)), inv, p)
+    assert np.array_equal(y.data[0], [0.0, 0.0])  # row 0 is empty
+    expected = oracles.softmax_mix_rows(x, np.zeros((2, 3)), np.zeros((2, 3)), [[0, 1]], store.state(), "mix")
+    assert np.allclose(y.data[1:], expected, atol=1e-12)
 
 
 # -- hierarchical mixing -----------------------------------------------------------
@@ -577,3 +580,139 @@ def test_tokenmlp_positional_flag_changes_output():
     y1 = mixer.variant_mix(x, pts, m, plain).data
     y2 = mixer.variant_mix(x, pts, m, with_pos).data
     assert not np.allclose(y1, y2)
+
+
+# -- per-point projections against the per-edge formula ------------------------------
+
+
+def per_edge_softmax_mix(x, pos_q, pos_s, rows, p):
+    """The mixing layer written edge by edge: gather x to every edge, then
+    g2([g1(x_j); delta(p_i - p_j)]) and g3(x_j) per edge, summed per row."""
+    lengths = [len(r) for r in rows]
+    offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    src = np.concatenate([np.asarray(r, dtype=np.int64) for r in rows])
+    dst = np.repeat(np.arange(len(rows)), lengths)
+    xj = autodiff.gather_rows(x, src)
+    pe = p.delta(pos_q[dst] - pos_s[src])
+    scores = p.g2(autodiff.concat_last([p.g1(xj), pe]))
+    w = nn.segment_softmax(autodiff.reshape(scores, (len(src),)), offsets)
+    return nn.segment_sum(p.g3(xj) * autodiff.reshape(w, (len(src), 1)), offsets)
+
+
+def outputs_and_grads(f, params, u):
+    for t in params:
+        t.grad = None
+    out = f()
+    autodiff.reduce_sum(out * u).backward()
+    return out.data.copy(), [t.grad.copy() if t.grad is not None else None for t in params]
+
+
+def assert_kernel_matches_per_edge(f, ref, store, x, u):
+    params = [t for _, t in store.tensors()] + [x]
+    y, grads = outputs_and_grads(f, params, u)
+    y_ref, grads_ref = outputs_and_grads(ref, params, u)
+    assert np.allclose(y, y_ref, rtol=0, atol=1e-12)
+    for (name, _), g, g_ref in zip(list(store.tensors()) + [("x", x)], grads, grads_ref):
+        assert np.allclose(g, g_ref, rtol=0, atol=1e-12), name
+
+
+def coincident_cloud(rng, copies=32, others=64):
+    return np.concatenate([np.full((copies, 3), 0.25), rng.uniform(-1, 1, (others, 3))])
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("g1_hidden", [None, 5])
+def test_softmax_kernel_matches_per_edge_formula_on_same_level_maps(seed, g1_hidden):
+    rng = np.random.default_rng(600 + seed)
+    store = nn.ParamStore()
+    p = mixer.PointMixerParams.create(store, "mix", 4, nn.Rng(seed), pe_width=6, g1_hidden=g1_hidden)
+    for pts in (rng.uniform(-1, 1, (24, 3)), coincident_cloud(rng, 8, 16)):
+        n = len(pts)
+        x = Tensor(rng.normal(size=(n, 4)), requires_grad=True)
+        u = Tensor(rng.normal(size=(n, 4)))
+        m = geom.knn(pts, pts, 4)
+        inv = geom.invert_map(m)
+        assert_kernel_matches_per_edge(
+            lambda: mixer.intra_set_mix(x, pts, m, p),
+            lambda: per_edge_softmax_mix(x, pts, pts, m.indices, p), store, x, u)
+        assert_kernel_matches_per_edge(
+            lambda: mixer.inter_set_mix(x, pts, inv, p),
+            lambda: per_edge_softmax_mix(x, pts, pts, [inv.row(i) for i in range(n)], p), store, x, u)
+
+
+@pytest.mark.parametrize("k, fallback_rows", [(1, True), (8, False)])
+def test_softmax_kernel_matches_per_edge_formula_on_cross_level_maps(k, fallback_rows):
+    rng = np.random.default_rng(700 + k)
+    store, p = make_params(4, seed=k, pe_width=3)
+    pts = rng.uniform(-1, 1, (30, 3))
+    lv = geom.build_hierarchy(pts, [1.0 / 3.0], k=k).levels[1]
+    inv = lv.down_inverse
+    assert bool(np.any(inv.row_lengths() == 0)) == fallback_rows
+    x_o = Tensor(rng.normal(size=(30, 4)), requires_grad=True)
+    x_s = Tensor(rng.normal(size=(lv.n, 4)), requires_grad=True)
+    assert_kernel_matches_per_edge(
+        lambda: mixer.hier_down_mix(x_o, pts, lv.positions, lv.down_map, p),
+        lambda: per_edge_softmax_mix(x_o, lv.positions, pts, lv.down_map.indices, p),
+        store, x_o, Tensor(rng.normal(size=(lv.n, 4))))
+    rows = [inv.row(i) if len(inv.row(i)) else [lv.up_fallback[i]] for i in range(30)]
+    assert_kernel_matches_per_edge(
+        lambda: mixer.hier_up_mix(x_s, lv.positions, pts, inv, p, skip=None, fallback=lv.up_fallback),
+        lambda: per_edge_softmax_mix(x_s, pts, lv.positions, rows, p),
+        store, x_s, Tensor(rng.normal(size=(30, 4))))
+
+
+def per_edge_attention(x, pos, rows, v):
+    """Vector attention with w1/w2/w3 applied to gathered x_i and x_j."""
+    lengths = [len(r) for r in rows]
+    offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    src = np.concatenate([np.asarray(r, dtype=np.int64) for r in rows])
+    dst = np.repeat(np.arange(len(rows)), lengths)
+    xi, xj = autodiff.gather_rows(x, dst), autodiff.gather_rows(x, src)
+    pe = v.delta(pos[dst] - pos[src])
+    weights = nn.segment_softmax(v.psi(v.w1(xi) - v.w2(xj) + pe), offsets)
+    return nn.segment_sum(weights * (v.w3(xj) + pe), offsets)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_attention_per_point_projections_match_per_edge_formula(seed):
+    rng = np.random.default_rng(800 + seed)
+    store = nn.ParamStore()
+    v = mixer.VectorAttentionParams.create(store, "v", 4, nn.Rng(seed))
+    for pts in (rng.uniform(-1, 1, (20, 3)), coincident_cloud(rng, 8, 12)):
+        n = len(pts)
+        x = Tensor(rng.normal(size=(n, 4)), requires_grad=True)
+        u = Tensor(rng.normal(size=(n, 4)))
+        m = geom.knn(pts, pts, 4)
+        inv = geom.invert_map(m)
+        assert_kernel_matches_per_edge(
+            lambda: mixer.variant_mix(x, pts, m, v),
+            lambda: per_edge_attention(x, pts, m.indices, v), store, x, u)
+        assert_kernel_matches_per_edge(
+            lambda: mixer.variant_mix(x, pts, inv, v),
+            lambda: per_edge_attention(x, pts, [inv.row(i) for i in range(n)], v), store, x, u)
+
+
+def test_coincident_points_leave_empty_inverse_rows_that_pass_through_the_block():
+    rng = np.random.default_rng(900)
+    pts = coincident_cloud(rng)
+    inv = geom.invert_map(geom.knn(pts, pts, 4))
+    empty = np.flatnonzero(inv.row_lengths() == 0)
+    assert len(empty) > 0
+    store = nn.ParamStore()
+    block = mixer.MixerBlockParams.create(store, "blk", 4, nn.Rng(3))
+    x = rng.normal(size=(len(pts), 4))
+    mixed = mixer.inter_set_mix(block.norm1(Tensor(x)), pts, inv, block.mix)
+    assert np.array_equal(mixed.data[empty], np.zeros((len(empty), 4)))
+    y = mixer.mixer_block(Tensor(x), pts, inv, block)
+    x1 = Tensor(x[empty])  # mixing term 0: only the channel MLP residual acts
+    expected = (x1 + block.channel_mlp(block.norm2(x1))).data
+    assert np.allclose(y.data[empty], expected, atol=1e-12)
+
+
+def test_maxpool_keeps_its_error_on_empty_inverse_rows():
+    rng = np.random.default_rng(901)
+    pts = coincident_cloud(rng, 8, 8)
+    inv = geom.invert_map(geom.knn(pts, pts, 4))
+    v = mixer.create_variant(nn.ParamStore(), "v", "maxpool", 3, nn.Rng(0))
+    with pytest.raises(ValueError, match="non-empty segments"):
+        mixer.variant_mix(Tensor(rng.normal(size=(16, 3))), pts, inv, v)

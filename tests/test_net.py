@@ -272,3 +272,22 @@ def test_training_mode_dropout_changes_classifier_output():
     eval_logits = net.forward_classify(network, cloud).data
     train_logits = net.forward_classify(network, cloud, training=True, rng=nn.Rng(3)).data
     assert not np.allclose(eval_logits, train_logits)
+
+
+@pytest.mark.parametrize("variant", ["softmax", "attention"])
+def test_coincident_points_give_finite_outputs_and_gradients(variant):
+    # 32 copies of one point with k = 4: most copies are in no same-level
+    # neighborhood, so their inverse rows are empty
+    rng = np.random.default_rng(11)
+    pos = np.concatenate([np.full((32, 3), 0.25), rng.uniform(-1, 1, (64, 3))])
+    assert np.any(geom.invert_map(geom.knn(pos, pos, 4)).row_lengths() == 0)
+    cfg = net.NetworkConfig(levels=[net.LevelSpec(8, 1, 1.0), net.LevelSpec(16, 1, 0.25)],
+                            head=net.DenseHead(2), k=4, variant=variant)
+    network = net.build_network(cfg, nn.Rng(0))
+    cloud = PointCloud(pos, pos.copy())
+    out = net.forward_dense(network, cloud)
+    assert out.shape == (96, 2)
+    assert np.all(np.isfinite(out.data))
+    autodiff.reduce_sum(out * Tensor(rng.normal(size=(96, 2)))).backward()
+    for name, t in network.store.tensors():
+        assert t.grad is None or np.all(np.isfinite(t.grad)), name

@@ -399,3 +399,85 @@ def test_finite_check_flag_catches_overflow():
         nn.gelu(Tensor(np.array([1.0])))  # normal values still fine
     finally:
         autodiff.set_check_finite(False)
+
+
+# -- CSR weighted sum and exact segment reductions ------------------------------------
+
+
+def csr_case(rng, rows=5, n_src=6, max_len=4):
+    lengths = rng.integers(0, max_len + 1, rows)
+    lengths[1] = 0  # always one empty segment
+    offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    src = rng.integers(0, n_src, int(offsets[-1]))
+    src[:2] = 3  # a repeated source row
+    return src, offsets
+
+
+def test_csr_weighted_sum_matches_loop_oracle():
+    rng = np.random.default_rng(20)
+    src, offsets = csr_case(rng, rows=7)
+    w = rng.normal(size=len(src))
+    v = rng.normal(size=(6, 3))
+    out = autodiff.csr_weighted_sum(Tensor(w), Tensor(v), src, offsets).data
+    expected = np.zeros((7, 3))
+    for i in range(7):
+        for e in range(offsets[i], offsets[i + 1]):
+            expected[i] += w[e] * v[src[e]]
+    assert np.allclose(out, expected, atol=1e-12)
+    assert np.array_equal(out[1], [0.0, 0.0, 0.0])
+
+
+def test_csr_weighted_sum_rejects_bad_input():
+    v = Tensor(np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        autodiff.csr_weighted_sum(Tensor(np.ones(2)), v, [0, 1], [0, 1])
+    with pytest.raises(ValueError):
+        autodiff.csr_weighted_sum(Tensor(np.ones(3)), v, [0, 1], [0, 2])
+    with pytest.raises(IndexError):
+        autodiff.csr_weighted_sum(Tensor(np.ones(2)), v, [0, 3], [0, 2])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_csr_weighted_sum_and_duplicate_gather_vs_finite_differences(seed):
+    rng = np.random.default_rng(150 + seed)
+    src, offsets = csr_case(rng)
+    w = Tensor(rng.normal(size=len(src)), requires_grad=True)
+    v = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    u = Tensor(rng.normal(size=(5, 3)))
+
+    def csr():
+        return autodiff.reduce_sum(autodiff.csr_weighted_sum(w, v, src, offsets) * u)
+
+    assert nn.check_gradient(csr, [w, v]) < 1e-4
+
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    idx = np.array([2, 0, 2, 2, 3, 0])
+    u6 = Tensor(rng.normal(size=(6, 3)))
+
+    def gather_dup():
+        return autodiff.reduce_sum(nn.gather_rows(x, idx) * u6)
+
+    assert nn.check_gradient(gather_dup, [x]) < 1e-4
+
+
+def test_float32_segment_reductions_are_exact_per_segment_at_a_million_edges():
+    import math
+
+    rng = np.random.default_rng(21)
+    lengths = rng.integers(0, 33, 64_000)
+    offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    assert offsets[-1] >= 1_000_000
+    values = rng.uniform(0.0, 1e3, (int(offsets[-1]), 2)).astype(np.float32)
+    exact = np.array([[math.fsum(col) for col in seg.astype(np.float64).T]
+                      for seg in np.split(values, offsets[1:-1])]).reshape(-1, 2)
+    got = nn.segment_sum(Tensor(values), offsets).data
+    assert got.dtype == np.float32
+    # recursive summation bound: (length - 1) * 2^-24 * sum |v| per segment
+    bound = (np.maximum(lengths, 1) - 1)[:, None] * 2.0**-24 * exact + 1e-30
+    assert np.all(np.abs(got.astype(np.float64) - exact) <= bound)
+    assert np.all(got[lengths == 0] == 0)
+
+    scores = rng.normal(size=int(offsets[-1])).astype(np.float32)
+    p = nn.segment_softmax(Tensor(scores), offsets).data.astype(np.float64)
+    sums = np.array([math.fsum(seg) for seg in np.split(p, offsets[1:-1])])
+    assert np.all(np.abs(sums[lengths > 0] - 1.0) <= 2 * 33 * 2.0**-24)

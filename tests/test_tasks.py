@@ -371,3 +371,36 @@ def test_occupancy_rejects_empty_and_bad_tau():
         tasks.occupancy_metrics(np.zeros((0, 3)), gt, 0.1)
     with pytest.raises(ValueError):
         tasks.occupancy_metrics(gt, gt, 0.0)
+
+
+@pytest.mark.parametrize("tau", [None, 0.3])
+def test_recon_evaluate_searches_once_per_direction_and_matches_the_metrics(monkeypatch, tau):
+    spec = tasks.DatasetSpec(task="recon", points=48, train_clouds=2, test_clouds=3, noise=0.05, seed=1)
+    ds = tasks.gen_dataset(spec)
+    cfg = net.NetworkConfig(levels=[net.LevelSpec(6, 1, 1.0)], head=net.DenseHead(3), k=4, in_channels=3)
+    network = net.build_network(cfg, nn.Rng(2))
+    calls = []
+    search = tasks.nearest
+
+    def counted(sources, queries, exclude_self=False):
+        calls.append(exclude_self)
+        return search(sources, queries, exclude_self=exclude_self)
+
+    monkeypatch.setattr(tasks, "nearest", counted)
+    rep = tasks.evaluate(network, ds.test, "recon", targets=ds.test_targets, tau=tau)
+    # per cloud: prediction -> target, target -> prediction, and default_tau's self search
+    assert calls.count(False) == 2 * len(ds.test)
+    assert calls.count(True) == (len(ds.test) if tau is None else 0)
+    monkeypatch.setattr(tasks, "nearest", search)
+    cds, accs, cps, f1s = [], [], [], []
+    with autodiff.no_grad():
+        for cloud, target in zip(ds.test, ds.test_targets):
+            pred = cloud.positions + net.forward_dense(network, cloud).data
+            cds.append(tasks.chamfer(pred, target))
+            t = tau if tau is not None else tasks.default_tau(target)
+            a, c, f = tasks.occupancy_metrics(pred, target, t)
+            accs.append(a)
+            cps.append(c)
+            f1s.append(f)
+    assert rep.values == {"cd": float(np.mean(cds)), "acc": float(np.mean(accs)),
+                          "cp": float(np.mean(cps)), "f1": float(np.mean(f1s))}
