@@ -321,7 +321,8 @@ def linear(x, W, b=None) -> Tensor:
 
     def bwd(g):
         g2 = g.reshape(-1, W.data.shape[0])
-        x._accumulate((g2 @ W.data).reshape(x.data.shape))
+        if x.requires_grad:  # a constant input (positions, raw features) needs no gradient
+            x._accumulate((g2 @ W.data).reshape(x.data.shape))
         W._accumulate(g2.T @ x2)
         if b is not None:
             b._accumulate(g2.sum(axis=0))
@@ -519,8 +520,15 @@ def gelu(a) -> Tensor:
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
 
     def bwd(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-        a._accumulate(g * (cdf + x * pdf))
+        # g * (cdf + x * pdf(x)), built in one buffer
+        t = x * x
+        t *= -0.5
+        np.exp(t, out=t)
+        t *= _INV_SQRT2PI
+        t *= x
+        t += cdf
+        t *= g
+        a._accumulate(t)
 
     return _make(x * cdf, (a,), bwd, "gelu")
 

@@ -11,11 +11,14 @@ forward maps, variable-cardinality inverse maps, and hierarchy transitions.
 Work that depends on ``x_j`` alone runs once per source point, not once per
 edge: a linear layer commutes with a row gather, so ``g1``, ``g3`` and the
 feature columns of g2's first layer are applied to the N source rows and
-only their results are gathered. Per edge remain ``delta(p_i - p_j)``, the
-positional columns of g2's first layer, the GELU and g2's second layer. The
-value sum is one sparse (queries, sources) product of the softmax weights
-with ``g3(x)`` (``autodiff.csr_weighted_sum``). The vector-attention variant
-likewise projects ``w1``/``w2``/``w3`` per point before gathering.
+only their results are gathered. The positional columns of g2's first
+layer follow delta's output layer with no nonlinearity between them, so
+they fold into one (C/4, pe) matrix formed once per call; per edge remain
+delta's first layer and GELU, that folded product, g2's GELU and g2's
+second layer. The value sum is one sparse (queries, sources) product of the
+softmax weights with ``g3(x)`` (``autodiff.csr_weighted_sum``). The
+vector-attention variant likewise projects ``w1``/``w2``/``w3`` per point
+before gathering.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .autodiff import (
     gather_rows,
     gelu,
     linear,
+    matmul,
     max_axis1,
     reduce_mean,
     reshape,
@@ -138,14 +142,19 @@ def _softmax_mix_edges(
 ) -> Tensor:
     """Shared edge kernel: score, normalize per query segment, mix values.
 
-    ``g2``'s first layer acts on ``[g1(x_j); pe]``, so it splits by columns
-    into a per-point term (with the bias) and a per-edge positional term.
+    ``g2``'s first layer acts on ``[g1(x_j); delta(rel)]``, so it splits by
+    columns into a per-point term and a per-edge positional term. The
+    positional columns ``W_pos`` directly follow delta's output layer, so
+    the two fold into one (C/4, pe) matrix applied to delta's hidden layer,
+    and ``W_pos @ delta.l2.b`` joins g2's bias in the per-point term.
     """
     _check_width(x_src, params.width)
     fc1, c = params.g2.fc1, params.width
-    hidden = linear(params.g1(x_src), slice_last(fc1.W, 0, c), fc1.b)
-    pe = params.delta(pos_q[dst] - pos_s[src])
-    hidden = gather_rows(hidden, src) + linear(pe, slice_last(fc1.W, c, c + params.pe_width))
+    pe1, pe2 = params.delta.mlp.fc1, params.delta.mlp.fc2
+    w_pos = slice_last(fc1.W, c, c + params.pe_width)
+    hidden = linear(params.g1(x_src), slice_last(fc1.W, 0, c), linear(pe2.b, w_pos, fc1.b))
+    pe_hidden = gelu(pe1(pos_q[dst] - pos_s[src]))
+    hidden = gather_rows(hidden, src) + linear(pe_hidden, matmul(w_pos, pe2.W))
     scores = params.g2.fc2(gelu(hidden))
     weights = segment_softmax(reshape(scores, (len(src),)), offsets)
     return csr_weighted_sum(weights, params.g3(x_src), src, offsets)

@@ -304,15 +304,30 @@ def _encode(net: Network, plan: Plan, feats):
     return x, skips
 
 
-def forward_classify(net: Network, cloud, plan: Plan | None = None,
-                     training: bool = False, rng: Rng | None = None) -> Tensor:
-    """Encoder-only pass, mean pooling over the deepest level, FC head."""
-    if not isinstance(net.config.head, ClassificationHead):
-        raise ValueError("network has no classification head")
+def _cloud_inputs(cloud):
+    """Positions and features of a PointCloud, or of a bare (N, 3) position
+    array that doubles as its features. Raises ValueError on an empty cloud
+    and on non-finite positions or features: one NaN would otherwise spread
+    through the softmax mixing into every output row."""
     positions = cloud.positions if hasattr(cloud, "positions") else np.asarray(cloud)
     feats = cloud.features if hasattr(cloud, "features") else positions
     if len(positions) == 0:
         raise ValueError("empty cloud")
+    if not np.all(np.isfinite(positions)):
+        raise ValueError("non-finite coordinates")
+    if not np.all(np.isfinite(as_tensor(feats).data)):
+        raise ValueError("non-finite features")
+    return positions, feats
+
+
+def forward_classify(net: Network, cloud, plan: Plan | None = None,
+                     training: bool = False, rng: Rng | None = None) -> Tensor:
+    """Encoder-only pass, mean pooling over the deepest level, FC head.
+
+    Raises ValueError on an empty cloud or non-finite positions/features."""
+    if not isinstance(net.config.head, ClassificationHead):
+        raise ValueError("network has no classification head")
+    positions, feats = _cloud_inputs(cloud)
     plan = plan or net.prepare(positions)
     x, _ = _encode(net, plan, feats)
     pooled = reduce_mean(x, axis=0)
@@ -327,14 +342,12 @@ def forward_dense(net: Network, cloud, plan: Plan | None = None) -> Tensor:
 
     With hierarchical mixing the decoder only replays stored inverse maps;
     ``last_decode_knn_calls`` records how many kNN searches the decode phase
-    actually ran (0 for the symmetric design).
+    actually ran (0 for the symmetric design). Raises ValueError on an empty
+    cloud or non-finite positions/features.
     """
     if not isinstance(net.config.head, DenseHead):
         raise ValueError("network has no dense head")
-    positions = cloud.positions if hasattr(cloud, "positions") else np.asarray(cloud)
-    feats = cloud.features if hasattr(cloud, "features") else positions
-    if len(positions) == 0:
-        raise ValueError("empty cloud")
+    positions, feats = _cloud_inputs(cloud)
     plan = plan or net.prepare(positions)
     x, skips = _encode(net, plan, feats)
     calls_before = geom.knn_call_count()

@@ -587,7 +587,9 @@ def test_tokenmlp_positional_flag_changes_output():
 
 def per_edge_softmax_mix(x, pos_q, pos_s, rows, p):
     """The mixing layer written edge by edge: gather x to every edge, then
-    g2([g1(x_j); delta(p_i - p_j)]) and g3(x_j) per edge, summed per row."""
+    g2([g1(x_j); delta(p_i - p_j)]) and g3(x_j) per edge, summed per row.
+    delta's output layer and g2's whole first layer (so its positional
+    columns W_pos too) run explicitly on every edge, with nothing folded."""
     lengths = [len(r) for r in rows]
     offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
     src = np.concatenate([np.asarray(r, dtype=np.int64) for r in rows])
@@ -659,6 +661,27 @@ def test_softmax_kernel_matches_per_edge_formula_on_cross_level_maps(k, fallback
         lambda: mixer.hier_up_mix(x_s, lv.positions, pts, inv, p, skip=None, fallback=lv.up_fallback),
         lambda: per_edge_softmax_mix(x_s, pts, lv.positions, rows, p),
         store, x_s, Tensor(rng.normal(size=(30, 4))))
+
+
+def test_softmax_kernel_applies_no_delta_output_layer_per_edge():
+    rng = np.random.default_rng(800)
+    store = nn.ParamStore()
+    p = mixer.PointMixerParams.create(store, "mix", 4, nn.Rng(0), pe_width=6)
+    pts = rng.uniform(-1, 1, (20, 3))
+    m = geom.knn(pts, pts, 4)
+    out = mixer.intra_set_mix(Tensor(rng.normal(size=(20, 4)), requires_grad=True), pts, m, p)
+    l2_W = p.delta.mlp.fc2.W
+    seen, stack, uses = set(), [out], []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if any(parent is l2_W for parent in node._parents):
+            uses.append((node._op, node.shape))
+        stack.extend(node._parents)
+    # delta.l2.W only meets W_pos, once per call: one (C/4, pe) product
+    assert uses == [("matmul", (1, 6))]
 
 
 def per_edge_attention(x, pos, rows, v):

@@ -291,3 +291,31 @@ def test_coincident_points_give_finite_outputs_and_gradients(variant):
     autodiff.reduce_sum(out * Tensor(rng.normal(size=(96, 2)))).backward()
     for name, t in network.store.tensors():
         assert t.grad is None or np.all(np.isfinite(t.grad)), name
+
+
+def nonfinite_clouds(rng, n=64):
+    """One NaN feature, one inf feature, one NaN coordinate."""
+    pos = rng.uniform(-1, 1, (n, 3))
+    nan_feat, inf_feat, nan_pos = pos.copy(), pos.copy(), pos.copy()
+    nan_feat[5, 1] = np.nan
+    inf_feat[9, 0] = np.inf
+    nan_pos[3, 2] = np.nan
+    return [(PointCloud(pos, nan_feat), "non-finite features"),
+            (PointCloud(pos, inf_feat), "non-finite features"),
+            (PointCloud(nan_pos, pos.copy()), "non-finite coordinates")]
+
+
+def test_dense_rejects_nonfinite_inputs():
+    network = net.build_network(tiny_config(net.DenseHead(2)), nn.Rng(0))
+    for cloud, message in nonfinite_clouds(np.random.default_rng(12)):
+        with pytest.raises(ValueError, match=message):
+            net.forward_dense(network, cloud)
+
+
+def test_classify_rejects_nonfinite_inputs():
+    network = net.build_network(tiny_config(net.ClassificationHead(3)), nn.Rng(0))
+    for cloud, message in nonfinite_clouds(np.random.default_rng(13)):
+        with pytest.raises(ValueError, match=message):
+            net.forward_classify(network, cloud)
+    with pytest.raises(ValueError, match="non-finite coordinates"):
+        net.forward_classify(network, np.full((16, 3), np.nan))

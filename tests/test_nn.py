@@ -40,6 +40,24 @@ def test_linear_shape_mismatch():
         nn.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), Tensor(np.zeros(2)))
 
 
+def test_linear_leaves_constant_input_without_gradient():
+    rng = np.random.default_rng(4)
+    x_data = rng.normal(size=(6, 3))
+    W = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=5), requires_grad=True)
+    u = rng.normal(size=(6, 5))
+    x = Tensor(x_data)
+    autodiff.reduce_sum(nn.gelu(nn.linear(x, W, b)) * Tensor(u)).backward()
+    assert x.grad is None
+    gW, gb = W.grad.copy(), b.grad.copy()
+    # the same graph with a differentiable input gives the same parameter gradients
+    W.grad = b.grad = None
+    x_var = Tensor(x_data, requires_grad=True)
+    autodiff.reduce_sum(nn.gelu(nn.linear(x_var, W, b)) * Tensor(u)).backward()
+    assert x_var.grad is not None
+    assert np.array_equal(W.grad, gW) and np.array_equal(b.grad, gb)
+
+
 # -- layernorm ------------------------------------------------------------------
 
 
@@ -79,6 +97,19 @@ def test_gelu_values():
     assert y[0] == 0.0
     assert abs(y[1] - 10.0) < 1e-6
     assert abs(y[2] - 0.8413447460685429) < 1e-9  # Phi(1) by erf
+
+
+def test_gelu_backward_bitwise_equals_direct_formula():
+    from scipy.special import erf
+
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(scale=3.0, size=(16384, 32)), requires_grad=True)
+    g = rng.normal(size=x.shape)
+    nn.gelu(x).backward(g)
+    xd = x.data
+    cdf = 0.5 * (1.0 + erf(xd * (1.0 / np.sqrt(2.0))))
+    pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * xd * xd)
+    assert np.array_equal(x.grad, g * (cdf + xd * pdf))
 
 
 # -- segment softmax ---------------------------------------------------------------
@@ -247,6 +278,32 @@ def test_primitive_backwards_vs_finite_differences(seed):
         return autodiff.reduce_sum(autodiff.segment_max(sm, off3) * u5)
 
     assert nn.check_gradient(smax, [sm]) < 1e-4
+
+
+def test_check_gradient_is_exact_on_quartics_at_coarse_h():
+    # the five-point stencil's error term is h^4 f^(5) / 30, which vanishes
+    # for a quartic; a two-point central difference would be off by
+    # h^2 f'''(x) / 6 = 4e-4 x here
+    x = Tensor(np.array([0.5, -1.5, 2.0]), requires_grad=True)
+    err = nn.check_gradient(lambda: autodiff.reduce_sum(x * x * x * x), [x], h=1e-2)
+    assert err < 1e-9
+
+
+def _scaled_backward(t: Tensor, factor: float) -> Tensor:
+    """Identity op whose backward scales the gradient by ``factor``."""
+    return autodiff._make(t.data.copy(), (t,), lambda g: t._accumulate(factor * g), "scaled")
+
+
+def test_check_gradient_catches_a_gradient_off_by_1e_minus_3_relative():
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    u = Tensor(rng.uniform(2.0, 3.0, size=(3, 4)))
+
+    def f(factor):
+        return lambda: autodiff.reduce_sum(nn.gelu(_scaled_backward(x, factor)) * u)
+
+    assert nn.check_gradient(f(1.0), [x]) < 1e-9
+    assert nn.check_gradient(f(1.0 + 1e-3), [x]) > 1e-4
 
 
 def test_check_gradient_detects_injected_fault():
