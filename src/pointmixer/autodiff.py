@@ -29,6 +29,7 @@ __all__ = [
     "scatter_add",
     "segment_sum",
     "csr_weighted_sum",
+    "edge_scores",
     "segment_softmax",
     "segment_max",
     "inject_backward_fault",
@@ -49,6 +50,9 @@ __all__ = [
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Floats in one block buffer of ``edge_scores`` (rows = this / layer width):
+# 512 KiB in float64, 2048 rows at width 32, well inside a core's L2.
+_EDGE_BLOCK_FLOATS = 1 << 16
 
 _grad_enabled = True
 _check_finite = False
@@ -239,12 +243,18 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _records_tape(parents) -> bool:
+    """Whether an op over ``parents`` goes on the tape (and so needs to keep
+    what its backward reads)."""
+    return _grad_enabled and any(p.requires_grad or p._backward is not None for p in parents)
+
+
 def _make(data, parents, backward, op: str = "") -> Tensor:
     """Build an op output; drops the tape when grad is globally disabled."""
     if _check_finite and not np.all(np.isfinite(data)):
         raise FloatingPointError(f"non-finite values produced by {op or 'an operation'}")
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad or p._backward is not None for p in parents):
+    if _records_tape(parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -425,6 +435,18 @@ def _check_offsets(off: np.ndarray, rows: int):
         raise ValueError("malformed CSR offsets")
 
 
+def _accumulate_gathered(x: Tensor, idx: np.ndarray, g: np.ndarray):
+    """Add the gradient ``g`` of ``x[idx]`` into ``x.grad``: rows sharing an
+    index are summed by one sparse transpose product."""
+    n = idx.size
+    sel = sparse.csr_array((np.ones(n, dtype=g.dtype), idx.ravel(), np.arange(n + 1)), shape=(n, x.data.shape[0]))
+    gx = (sel.T @ g.reshape(n, int(np.prod(x.data.shape[1:])))).reshape(x.data.shape)
+    if x.grad is None:
+        x.grad = gx.astype(x.data.dtype, copy=False)
+    else:
+        x.grad += gx
+
+
 def gather_rows(x, indices) -> Tensor:
     """Copy rows of ``x`` (first axis) at ``indices``. The backward sums
     the row gradients back with one sparse transpose product."""
@@ -434,13 +456,7 @@ def gather_rows(x, indices) -> Tensor:
         raise IndexError("gather_rows index out of range")
 
     def bwd(g):
-        n = idx.size
-        sel = sparse.csr_array((np.ones(n, dtype=g.dtype), idx.ravel(), np.arange(n + 1)), shape=(n, x.data.shape[0]))
-        gx = (sel.T @ g.reshape(n, int(np.prod(x.data.shape[1:])))).reshape(x.data.shape)
-        if x.grad is None:
-            x.grad = gx.astype(x.data.dtype, copy=False)
-        else:
-            x.grad += gx
+        _accumulate_gathered(x, idx, g)
 
     return _make(x.data[idx], (x,), bwd, "gather")
 
@@ -513,24 +529,37 @@ def csr_weighted_sum(weights, values, src, offsets) -> Tensor:
 # -- nonlinearities & normalization ---------------------------------------
 
 
+def _gelu_parts(x: np.ndarray, slope: bool, out=None, slope_out=None, cdf_out=None):
+    """Exact-erf GELU ``x Phi(x)`` and, if ``slope``, its derivative
+    ``Phi(x) + x pdf(x)`` (else ``None``), with ``Phi(x) = 0.5 (1 + erf(x /
+    sqrt 2))`` built in place in one buffer and the derivative in another.
+    ``out``, ``slope_out`` and ``cdf_out`` (scratch for Phi) are used when
+    given; ``out`` may be ``x`` itself."""
+    cdf = np.multiply(x, _INV_SQRT2, out=cdf_out)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    d = None
+    if slope:
+        d = np.multiply(x, x, out=slope_out)
+        d *= -0.5
+        np.exp(d, out=d)
+        d *= _INV_SQRT2PI
+        d *= x
+        d += cdf
+    return np.multiply(x, cdf, out=out), d
+
+
 def gelu(a) -> Tensor:
-    """Exact-erf GELU: x * Phi(x) with Phi the standard normal CDF."""
+    """Exact-erf GELU: x * Phi(x) with Phi the standard normal CDF. On the
+    tape it keeps the derivative, not Phi, for its backward."""
     a = as_tensor(a)
-    x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    y, slope = _gelu_parts(a.data, _records_tape((a,)))
 
     def bwd(g):
-        # g * (cdf + x * pdf(x)), built in one buffer
-        t = x * x
-        t *= -0.5
-        np.exp(t, out=t)
-        t *= _INV_SQRT2PI
-        t *= x
-        t += cdf
-        t *= g
-        a._accumulate(t)
+        a._accumulate(slope * g)
 
-    return _make(x * cdf, (a,), bwd, "gelu")
+    return _make(y, (a,), bwd, "gelu")
 
 
 def layernorm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
@@ -551,6 +580,88 @@ def layernorm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
         x._accumulate(term * inv)
 
     return _make(xhat * gamma.data + beta.data, (x, gamma, beta), bwd, "layernorm")
+
+
+def edge_scores(hidden, src, rel, W1, b1, W_fold, w2, b2) -> Tensor:
+    """One score per edge e of a two-hidden-layer MLP:
+
+        s_e = w2 . gelu(hidden[src_e] + W_fold gelu(W1 rel_e + b1)) + b2
+
+    ``hidden`` (N, H) is the per-source term, ``rel`` (E, d) a constant
+    per-edge input, ``W1`` (P, d), ``b1`` (P,), ``W_fold`` (H, P), ``w2``
+    (1, H) and ``b2`` (1,); the result has shape (E,). The edges run in
+    contiguous blocks of about ``_EDGE_BLOCK_FLOATS / max(P, H)`` rows, so
+    each block's hidden layers stay in cache. On the tape the op keeps
+    each hidden layer's GELU output and derivative, nothing else; its
+    backward walks the same blocks and sums ``hidden``'s per-edge gradient
+    back per source row with one sparse transpose product."""
+    h, W1, b1, wf, w2, b2 = (as_tensor(t) for t in (hidden, W1, b1, W_fold, w2, b2))
+    col = np.asarray(src, dtype=np.int64)
+    rel = np.asarray(rel)
+    n_edges, width = len(col), h.data.shape[-1]
+    pe = W1.data.shape[0]
+    if (h.data.ndim != 2 or col.ndim != 1 or rel.shape != (n_edges, W1.data.shape[1]) or b1.data.shape != (pe,)
+            or wf.data.shape != (width, pe) or w2.data.shape != (1, width) or b2.data.shape != (1,)):
+        raise ValueError("edge_scores: inconsistent shapes")
+    if n_edges and (col.min() < 0 or col.max() >= h.data.shape[0]):
+        raise IndexError("edge_scores index out of range")
+    dtype = np.result_type(h.data, rel, W1.data, b1.data, wf.data, w2.data, b2.data)
+    rows = max(1, min(n_edges, _EDGE_BLOCK_FLOATS // max(pe, width)))
+    blocks = [slice(s, min(s + rows, n_edges)) for s in range(0, n_edges, rows)]
+    parents = (h, W1, b1, wf, w2, b2)
+    save = _records_tape(parents)
+    if save:
+        z1, d1 = np.empty((n_edges, pe), dtype), np.empty((n_edges, pe), dtype)
+        z2, d2 = np.empty((n_edges, width), dtype), np.empty((n_edges, width), dtype)
+    # per-block scratch, reused by every block: fresh buffers cost page faults
+    a1, c1 = np.empty((rows, pe), dtype), np.empty((rows, pe), dtype)
+    a2, c2, hj = np.empty((rows, width), dtype), np.empty((rows, width), dtype), np.empty((rows, width), dtype)
+    h_data = h.data.astype(dtype, copy=False)
+    scratch = a1.nbytes + c1.nbytes + a2.nbytes + c2.nbytes + hj.nbytes
+    if _alloc.enabled:
+        _alloc.add(scratch)
+    out = np.empty(n_edges, dtype)
+    for blk in blocks:
+        m = blk.stop - blk.start
+        a = np.matmul(rel[blk], W1.data.T, out=a1[:m])
+        a += b1.data
+        z, _ = _gelu_parts(a, save, *((z1[blk], d1[blk]) if save else (a, None)), c1[:m])
+        a = np.matmul(z, wf.data.T, out=a2[:m])
+        a += np.take(h_data, col[blk], axis=0, out=hj[:m])
+        z, _ = _gelu_parts(a, save, *((z2[blk], d2[blk]) if save else (a, None)), c2[:m])
+        np.matmul(z, w2.data[0], out=out[blk])
+    out += b2.data
+    if _alloc.enabled:
+        _alloc.sub(scratch)
+
+    def bwd(g):
+        g_hidden, g_z1 = np.empty((n_edges, width), dtype), np.empty((rows, pe), dtype)
+        g_W1, g_b1 = np.zeros((pe, rel.shape[1]), dtype), np.zeros(pe, dtype)
+        g_wf, g_w2 = np.zeros((width, pe), dtype), np.zeros(width, dtype)
+        for blk in blocks:
+            g_w2 += g[blk] @ z2[blk]
+            ga = np.multiply(g[blk, None], w2.data, out=g_hidden[blk])
+            ga *= d2[blk]
+            g_wf += ga.T @ z1[blk]
+            ga = np.matmul(ga, wf.data, out=g_z1[: blk.stop - blk.start])
+            ga *= d1[blk]
+            g_W1 += ga.T @ rel[blk]
+            g_b1 += ga.sum(axis=0)
+        if h.requires_grad:
+            _accumulate_gathered(h, col, g_hidden)
+        W1._accumulate(g_W1)
+        b1._accumulate(g_b1)
+        wf._accumulate(g_wf)
+        w2._accumulate(g_w2[None, :])
+        b2._accumulate(g.sum(keepdims=True))
+
+    result = _make(out, parents, bwd, "edge_scores")
+    if save and _alloc.enabled:
+        # the kept hidden layers live as long as the output's backward closure
+        kept = z1.nbytes + d1.nbytes + z2.nbytes + d2.nbytes
+        _alloc.add(kept)
+        weakref.finalize(result, _alloc.sub, kept)
+    return result
 
 
 def segment_softmax(scores, offsets) -> Tensor:

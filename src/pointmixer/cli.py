@@ -315,6 +315,16 @@ def _gradcheck_cases(seed: int):
          lambda: autodiff.reduce_sum(autodiff.csr_weighted_sum(edge_w, rows, src9, off) * u4), [edge_w, rows])
     )
 
+    # its own generator, so the probes below see the same data as before
+    erng = np.random.default_rng(seed + 5)
+    e_hidden = Tensor(erng.normal(size=(4, 2)), requires_grad=True)
+    e_params = [Tensor(erng.normal(size=s), requires_grad=True) for s in ((5, 3), (5,), (2, 5), (1, 2), (1,))]
+    e_rel, u9 = erng.normal(size=(9, 3)), Tensor(erng.normal(size=9))
+    cases.append(
+        ("edge_scores",
+         lambda: autodiff.reduce_sum(autodiff.edge_scores(e_hidden, src9, e_rel, *e_params) * u9), [e_hidden] + e_params)
+    )
+
     pts = rng.uniform(-1, 1, (8, 3))
     m = geom.knn(pts, pts, 3)
     inv = geom.invert_map(m)

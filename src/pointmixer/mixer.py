@@ -13,12 +13,13 @@ edge: a linear layer commutes with a row gather, so ``g1``, ``g3`` and the
 feature columns of g2's first layer are applied to the N source rows and
 only their results are gathered. The positional columns of g2's first
 layer follow delta's output layer with no nonlinearity between them, so
-they fold into one (C/4, pe) matrix formed once per call; per edge remain
-delta's first layer and GELU, that folded product, g2's GELU and g2's
-second layer. The value sum is one sparse (queries, sources) product of the
-softmax weights with ``g3(x)`` (``autodiff.csr_weighted_sum``). The
-vector-attention variant likewise projects ``w1``/``w2``/``w3`` per point
-before gathering.
+they fold into one (C/4, pe) matrix formed once per call. What remains per
+edge (delta's first layer and GELU, that folded product, g2's GELU and g2's
+second layer) is one fused tape op, ``autodiff.edge_scores``, which runs
+over cache-sized blocks of edges. The value sum is one sparse (queries,
+sources) product of the softmax weights with ``g3(x)``
+(``autodiff.csr_weighted_sum``). The vector-attention variant likewise
+projects ``w1``/``w2``/``w3`` per point before gathering.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .autodiff import (
     as_tensor,
     concat_last,
     csr_weighted_sum,
+    edge_scores,
     gather_rows,
-    gelu,
     linear,
     matmul,
     max_axis1,
@@ -146,17 +147,18 @@ def _softmax_mix_edges(
     columns into a per-point term and a per-edge positional term. The
     positional columns ``W_pos`` directly follow delta's output layer, so
     the two fold into one (C/4, pe) matrix applied to delta's hidden layer,
-    and ``W_pos @ delta.l2.b`` joins g2's bias in the per-point term.
+    and ``W_pos @ delta.l2.b`` joins g2's bias in the per-point term. The
+    per-edge rest of the score MLP is the one op ``edge_scores``.
     """
     _check_width(x_src, params.width)
     fc1, c = params.g2.fc1, params.width
     pe1, pe2 = params.delta.mlp.fc1, params.delta.mlp.fc2
     w_pos = slice_last(fc1.W, c, c + params.pe_width)
     hidden = linear(params.g1(x_src), slice_last(fc1.W, 0, c), linear(pe2.b, w_pos, fc1.b))
-    pe_hidden = gelu(pe1(pos_q[dst] - pos_s[src]))
-    hidden = gather_rows(hidden, src) + linear(pe_hidden, matmul(w_pos, pe2.W))
-    scores = params.g2.fc2(gelu(hidden))
-    weights = segment_softmax(reshape(scores, (len(src),)), offsets)
+    scores = edge_scores(
+        hidden, src, pos_q[dst] - pos_s[src], pe1.W, pe1.b, matmul(w_pos, pe2.W), params.g2.fc2.W, params.g2.fc2.b
+    )
+    weights = segment_softmax(scores, offsets)
     return csr_weighted_sum(weights, params.g3(x_src), src, offsets)
 
 

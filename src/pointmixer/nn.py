@@ -216,13 +216,20 @@ def dropout(x, rate: float, rng: Rng, training: bool) -> Tensor:
 
 
 def sgd_step(store: ParamStore, lr: float, momentum: float = 0.9, weight_decay: float = 1e-4):
-    """Classic momentum SGD with weight decay folded into the gradient."""
-    for name, e in store._entries.items():
-        g = e.value.grad if e.value.grad is not None else np.zeros_like(e.value.data)
+    """Classic momentum SGD with weight decay folded into the gradient:
+    ``m = momentum m + (grad + wd w)``, ``w -= lr m``, updated in place
+    (``.grad`` is left as it is; a missing gradient counts as zero)."""
+    for e in store._entries.values():
+        data, g = e.value.data, e.value.grad
         if weight_decay:
-            g = g + weight_decay * e.value.data
-        e.momentum = momentum * e.momentum + g
-        e.value.data = e.value.data - lr * e.momentum
+            wd = weight_decay * data
+            if g is not None:
+                wd += g
+            g = wd
+        e.momentum *= momentum
+        if g is not None:
+            e.momentum += g
+        data -= lr * e.momentum
 
 
 def cosine_lr(epoch: int, total_epochs: int, base_lr: float) -> float:

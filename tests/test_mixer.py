@@ -684,6 +684,46 @@ def test_softmax_kernel_applies_no_delta_output_layer_per_edge():
     assert uses == [("matmul", (1, 6))]
 
 
+def test_softmax_kernel_over_forced_edge_blocks_matches_per_edge_formula(monkeypatch):
+    # 5 rows per block at pe = 6: segments of 4 edges straddle block ends,
+    # and 96 edges leave a ragged last block
+    monkeypatch.setattr(autodiff, "_EDGE_BLOCK_FLOATS", 5 * 6)
+    rng = np.random.default_rng(810)
+    store = nn.ParamStore()
+    p = mixer.PointMixerParams.create(store, "mix", 4, nn.Rng(4), pe_width=6)
+    pts = coincident_cloud(rng, 8, 16)
+    n = len(pts)
+    x = Tensor(rng.normal(size=(n, 4)), requires_grad=True)
+    u = Tensor(rng.normal(size=(n, 4)))
+    m = geom.knn(pts, pts, 4)
+    inv = geom.invert_map(m)
+    assert m.indices.size % 5 and np.any(inv.row_lengths() == 0)
+    assert_kernel_matches_per_edge(
+        lambda: mixer.intra_set_mix(x, pts, m, p),
+        lambda: per_edge_softmax_mix(x, pts, pts, m.indices, p), store, x, u)
+    assert_kernel_matches_per_edge(
+        lambda: mixer.inter_set_mix(x, pts, inv, p),
+        lambda: per_edge_softmax_mix(x, pts, pts, [inv.row(i) for i in range(n)], p), store, x, u)
+
+
+def test_softmax_kernel_records_one_per_edge_score_node():
+    rng = np.random.default_rng(811)
+    store, p = make_params(4, seed=5, pe_width=6)
+    pts = rng.uniform(-1, 1, (20, 3))
+    m = geom.knn(pts, pts, 4)
+    out = mixer.intra_set_mix(Tensor(rng.normal(size=(20, 4)), requires_grad=True), pts, m, p)
+    seen, stack, per_edge = set(), [out], []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is not None and node.shape[:1] == (m.indices.size,):
+            per_edge.append(node._op)
+        stack.extend(node._parents)
+    assert sorted(per_edge) == ["edge_scores", "segment_softmax"]
+
+
 def per_edge_attention(x, pos, rows, v):
     """Vector attention with w1/w2/w3 applied to gathered x_i and x_j."""
     lengths = [len(r) for r in rows]

@@ -358,6 +358,34 @@ def test_sgd_momentum_accumulates():
     assert np.allclose(store["w"].data, [0.75])
 
 
+@pytest.mark.parametrize("weight_decay", [1e-3, 0.0])
+def test_sgd_in_place_update_equals_the_direct_formulas(weight_decay):
+    rng = np.random.default_rng(40)
+    store = nn.ParamStore()
+    store.add("a", rng.normal(size=(3, 4)))
+    store.add("b", rng.normal(size=5))  # never receives a gradient
+    snapshot = store.state()
+    frozen = {name: arr.copy() for name, arr in snapshot.items()}
+    ref = {name: (arr.copy(), np.zeros_like(arr)) for name, arr in snapshot.items()}
+    for _ in range(3):
+        grads = {"a": rng.normal(size=(3, 4)), "b": None}
+        store["a"].grad = grads["a"].copy()
+        nn.sgd_step(store, lr=0.05, momentum=0.9, weight_decay=weight_decay)
+        assert np.array_equal(store["a"].grad, grads["a"])
+        assert store["b"].grad is None
+        for name, (w, m) in ref.items():
+            g = grads[name] if grads[name] is not None else np.zeros_like(w)
+            if weight_decay:
+                g = g + weight_decay * w
+            m = 0.9 * m + g
+            w = w - 0.05 * m
+            ref[name] = (w, m)
+            assert np.array_equal(store[name].data, w), name
+            assert np.array_equal(store.momentum(name), m), name
+    for name, arr in snapshot.items():
+        assert np.array_equal(arr, frozen[name])
+
+
 # -- schedules ------------------------------------------------------------------------
 
 
@@ -538,3 +566,150 @@ def test_float32_segment_reductions_are_exact_per_segment_at_a_million_edges():
     p = nn.segment_softmax(Tensor(scores), offsets).data.astype(np.float64)
     sums = np.array([math.fsum(seg) for seg in np.split(p, offsets[1:-1])])
     assert np.all(np.abs(sums[lengths > 0] - 1.0) <= 2 * 33 * 2.0**-24)
+
+
+# -- fused per-edge score MLP ----------------------------------------------------------
+
+
+def edge_case(rng, n=5, edges=11, pe=5, width=3, dtype=np.float64):
+    """Inputs of ``edge_scores``: source rows with repeats, constant relative
+    positions, and (hidden, W1, b1, W_fold, w2, b2) as tensors."""
+    src = rng.integers(0, n, edges)
+    src[:3] = 2  # a repeated source row
+    rel = rng.normal(size=(edges, 3)).astype(dtype)
+    shapes = ((n, width), (pe, 3), (pe,), (width, pe), (1, width), (1,))
+    return src, rel, [Tensor(rng.normal(size=s).astype(dtype), requires_grad=True) for s in shapes]
+
+
+def edge_scores_by_ops(hidden, src, rel, W1, b1, W_fold, w2, b2):
+    """The same score MLP as a chain of single tape ops."""
+    z1 = nn.gelu(autodiff.linear(Tensor(rel), W1, b1))
+    a2 = nn.gather_rows(hidden, src) + autodiff.linear(z1, W_fold)
+    return autodiff.reshape(autodiff.linear(nn.gelu(a2), w2, b2), (len(src),))
+
+
+def scores_and_grads(f, tensors, u):
+    for t in tensors:
+        t.grad = None
+    out = f()
+    autodiff.reduce_sum(out * u).backward()
+    return out.data.copy(), [t.grad.copy() for t in tensors]
+
+
+def assert_edge_scores_match_ops(src, rel, tensors, u):
+    got = scores_and_grads(lambda: autodiff.edge_scores(tensors[0], src, rel, *tensors[1:]), tensors, u)
+    want = scores_and_grads(lambda: edge_scores_by_ops(tensors[0], src, rel, *tensors[1:]), tensors, u)
+    assert np.allclose(got[0], want[0], rtol=0, atol=1e-12)
+    for name, g, g_ref in zip(("hidden", "W1", "b1", "W_fold", "w2", "b2"), got[1], want[1]):
+        assert np.allclose(g, g_ref, rtol=0, atol=1e-12), name
+
+
+def test_edge_scores_match_the_op_chain_over_three_ragged_blocks(monkeypatch):
+    rng = np.random.default_rng(30)
+    src, rel, tensors = edge_case(rng, edges=11, pe=5, width=3)
+    monkeypatch.setattr(autodiff, "_EDGE_BLOCK_FLOATS", 4 * 5)  # 4 rows per block at width 5
+    rows = autodiff._EDGE_BLOCK_FLOATS // 5
+    assert len(src) % rows and -(-len(src) // rows) >= 3
+    assert_edge_scores_match_ops(src, rel, tensors, Tensor(rng.normal(size=len(src))))
+
+
+def test_edge_scores_sum_a_shared_source_over_all_its_edges(monkeypatch):
+    rng = np.random.default_rng(31)
+    src, rel, tensors = edge_case(rng, n=4, edges=9, pe=2, width=4)
+    src[:] = 1  # every edge reads the same row, across three blocks
+    monkeypatch.setattr(autodiff, "_EDGE_BLOCK_FLOATS", 3 * 4)
+    u = Tensor(rng.normal(size=len(src)))
+    assert_edge_scores_match_ops(src, rel, tensors, u)
+    _, grads = scores_and_grads(lambda: autodiff.edge_scores(tensors[0], src, rel, *tensors[1:]), tensors, u)
+    assert np.array_equal(grads[0][[0, 2, 3]], np.zeros((3, 4)))
+
+
+def test_edge_scores_with_no_edges():
+    rng = np.random.default_rng(32)
+    _, _, tensors = edge_case(rng)
+    src, rel = np.zeros(0, dtype=np.int64), np.zeros((0, 3))
+    out, grads = scores_and_grads(lambda: autodiff.edge_scores(tensors[0], src, rel, *tensors[1:]), tensors,
+                                  Tensor(np.zeros(0)))
+    assert out.shape == (0,)
+    for g, t in zip(grads, tensors):
+        assert np.array_equal(g, np.zeros(t.shape))
+
+
+def test_edge_scores_do_not_depend_on_the_block_size(monkeypatch):
+    rng = np.random.default_rng(33)
+    src, rel, tensors = edge_case(rng, edges=40, pe=6, width=4)
+    u = Tensor(rng.normal(size=len(src)))
+    runs = []
+    for floats in (6, 3 * 6, 7 * 6, 1 << 16):  # 1, 3, 7 and all 40 rows per block
+        monkeypatch.setattr(autodiff, "_EDGE_BLOCK_FLOATS", floats)
+        runs.append(scores_and_grads(lambda: autodiff.edge_scores(tensors[0], src, rel, *tensors[1:]), tensors, u))
+    for out, grads in runs[1:]:
+        assert np.allclose(out, runs[0][0], rtol=0, atol=1e-12)
+        for g, g_ref in zip(grads, runs[0][1]):
+            assert np.allclose(g, g_ref, rtol=0, atol=1e-12)
+
+
+def test_edge_scores_keep_nothing_under_no_grad():
+    rng = np.random.default_rng(34)
+    src, rel, tensors = edge_case(rng, edges=64)
+    autodiff.enable_alloc_tracking(True)
+    try:
+        with autodiff.no_grad():
+            out = autodiff.edge_scores(tensors[0], src, rel, *tensors[1:])
+        assert not out.requires_grad and out._backward is None
+        assert autodiff.live_bytes() == out.data.nbytes  # block scratch released, nothing kept
+    finally:
+        autodiff.enable_alloc_tracking(False)
+
+
+def test_edge_scores_count_their_kept_buffers_until_the_output_dies():
+    rng = np.random.default_rng(35)
+    src, rel, tensors = edge_case(rng, edges=64, pe=5, width=3)
+    kept = 2 * len(src) * (5 + 3) * 8  # each hidden layer's GELU output and derivative
+    autodiff.enable_alloc_tracking(True)
+    try:
+        out = autodiff.edge_scores(tensors[0], src, rel, *tensors[1:])
+        assert out.requires_grad
+        assert autodiff.peak_bytes() >= kept + out.data.nbytes
+        assert autodiff.live_bytes() == kept + out.data.nbytes  # block scratch released
+        del out
+        assert autodiff.live_bytes() == 0
+    finally:
+        autodiff.enable_alloc_tracking(False)
+
+
+def test_edge_scores_keep_float32():
+    rng = np.random.default_rng(36)
+    src, rel, tensors = edge_case(rng, dtype=np.float32)
+    out, grads = scores_and_grads(lambda: autodiff.edge_scores(tensors[0], src, rel, *tensors[1:]), tensors,
+                                  Tensor(np.ones(len(src), dtype=np.float32)))
+    assert out.dtype == np.float32
+    assert all(g.dtype == np.float32 for g in grads)
+    t64 = [Tensor(t.data.astype(np.float64)) for t in tensors]
+    with autodiff.no_grad():
+        as64 = autodiff.edge_scores(t64[0], src, rel.astype(np.float64), *t64[1:])
+    assert np.allclose(out, as64.data, rtol=1e-5, atol=1e-5)  # float32 rounding, set from the dtype
+
+
+def test_edge_scores_rejects_bad_input():
+    rng = np.random.default_rng(37)
+    src, rel, tensors = edge_case(rng)
+    with pytest.raises(ValueError):
+        autodiff.edge_scores(tensors[0], src, rel[:-1], *tensors[1:])
+    with pytest.raises(ValueError):
+        autodiff.edge_scores(tensors[0], src, rel, tensors[1], tensors[2], tensors[3], Tensor(np.ones((1, 4))), tensors[5])
+    with pytest.raises(IndexError):
+        autodiff.edge_scores(tensors[0], src + 5, rel, *tensors[1:])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_edge_scores_vs_finite_differences(seed, monkeypatch):
+    rng = np.random.default_rng(160 + seed)
+    src, rel, tensors = edge_case(rng, edges=10, pe=4, width=3)
+    monkeypatch.setattr(autodiff, "_EDGE_BLOCK_FLOATS", 3 * 4)  # four blocks, the last one ragged
+    u = Tensor(rng.normal(size=len(src)))
+
+    def f():
+        return autodiff.reduce_sum(autodiff.edge_scores(tensors[0], src, rel, *tensors[1:]) * u)
+
+    assert nn.check_gradient(f, tensors) < 1e-6
