@@ -12,6 +12,7 @@ through unchanged for benchmark runs.
 from __future__ import annotations
 
 import contextlib
+import math
 import weakref
 
 import numpy as np
@@ -48,8 +49,9 @@ __all__ = [
     "live_bytes",
 ]
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, not NumPy float64 scalars, so float32 inputs stay float32
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Floats in one block buffer of ``edge_scores`` (rows = this / layer width):
 # 512 KiB in float64, 2048 rows at width 32, well inside a core's L2.
 _EDGE_BLOCK_FLOATS = 1 << 16

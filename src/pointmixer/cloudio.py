@@ -46,10 +46,12 @@ def read_cloud(path) -> PointCloud:
         n, c, has_labels = int(header[1]), int(header[2]), int(header[3])
         if has_labels not in (0, 1) or n < 1 or c < 0:
             raise ValueError(f"{path}: malformed header")
+        expected = 3 + c + has_labels
+        if 2 * n * expected > os.fstat(fh.fileno()).st_size:  # a field takes >= 2 bytes: refuse before allocating
+            raise ValueError(f"{path}: header claims {n} points of {expected} fields, more than the file holds")
         positions = np.zeros((n, 3))
         features = np.zeros((n, c))
         labels = np.zeros(n, dtype=np.int64) if has_labels else None
-        expected = 3 + c + has_labels
         for i in range(n):
             parts = fh.readline().split()
             if len(parts) != expected:

@@ -11,10 +11,15 @@ runs through one routine: a KD-tree proposes a few more candidates than
 asked for, their squared distances are recomputed exactly and re-ranked,
 and only rows that might hide a tie beyond the candidates fall back to a
 dense search in bounded row blocks. No full N x M distance matrix is built.
+
+Every index map exposes one CSR edge list, ``map.edges`` (an ``Edges``),
+built here once per map; up-sampling adds the ``nearest_samples`` fallback
+rows to it (``up_edges``). The mixing layers only read these edges.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +27,7 @@ from scipy.spatial import cKDTree
 
 __all__ = [
     "PointCloud",
+    "Edges",
     "NeighborMap",
     "InverseNeighborMap",
     "Hierarchy",
@@ -30,6 +36,8 @@ __all__ = [
     "knn_call_count",
     "nearest",
     "invert_map",
+    "nearest_samples",
+    "up_edges",
     "fps",
     "relative_positions",
     "build_hierarchy",
@@ -86,6 +94,16 @@ class PointCloud:
                 raise ValueError("label out of range")
 
 
+@dataclass(frozen=True)
+class Edges:
+    """CSR edge list: edge e joins query ``dst[e]`` to source ``src[e]``, and
+    query q owns the edges ``offsets[q]:offsets[q + 1]``."""
+
+    dst: np.ndarray  # (E,) int64, ascending
+    src: np.ndarray  # (E,) int64
+    offsets: np.ndarray  # (queries + 1,) int64
+
+
 @dataclass
 class NeighborMap:
     """Fixed-K index map: row q lists the k nearest source indices to query q,
@@ -104,6 +122,12 @@ class NeighborMap:
     @property
     def query_count(self) -> int:
         return self.indices.shape[0]
+
+    @functools.cached_property
+    def edges(self) -> Edges:
+        n, k = self.indices.shape
+        return Edges(np.repeat(np.arange(n, dtype=np.int64), k), self.indices.ravel(),
+                     np.arange(n + 1, dtype=np.int64) * k)
 
 
 @dataclass
@@ -130,6 +154,11 @@ class InverseNeighborMap:
 
     def row_lengths(self) -> np.ndarray:
         return np.diff(self.offsets)
+
+    @functools.cached_property
+    def edges(self) -> Edges:
+        dst = np.repeat(np.arange(self.source_count, dtype=np.int64), self.row_lengths())
+        return Edges(dst, self.indices, self.offsets)
 
 
 _SLACK = 8  # extra tree candidates per row beyond k
@@ -239,8 +268,30 @@ def invert_map(m: NeighborMap) -> InverseNeighborMap:
     # stable sort on source index groups entries by source; within a group the
     # original flat position grows with the query index, keeping rows ascending
     order = np.argsort(flat, kind="stable")
-    queries = np.repeat(np.arange(m.query_count, dtype=np.int64), m.k)
-    return InverseNeighborMap(offsets, queries[order])
+    return InverseNeighborMap(offsets, m.edges.dst[order])
+
+
+def nearest_samples(inv: InverseNeighborMap, samples: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Up-sampling fallbacks: for each point whose row of ``inv`` is empty
+    (no sample's neighborhood holds it), the index of its nearest sample;
+    -1 for every other point. Searches only when some row is empty."""
+    fallback = np.full(inv.source_count, -1, dtype=np.int64)
+    empty = np.flatnonzero(inv.row_lengths() == 0)
+    if len(empty):
+        fallback[empty] = knn(samples, points[empty], 1).indices[:, 0]
+    return fallback
+
+
+def up_edges(inv: InverseNeighborMap, fallback: np.ndarray) -> Edges:
+    """Up-sampling edges: ``inv``'s edges with each empty row i replaced by
+    the singleton row ``[fallback[i]]``. Without empty rows this is
+    ``inv.edges`` itself."""
+    empty = np.flatnonzero(inv.row_lengths() == 0)
+    if not len(empty):
+        return inv.edges
+    src = np.insert(inv.indices, inv.offsets[empty], np.asarray(fallback, dtype=np.int64)[empty])
+    offsets = inv.offsets + np.searchsorted(empty, np.arange(len(inv.offsets)))  # + empty rows before
+    return Edges(np.repeat(np.arange(inv.source_count, dtype=np.int64), np.diff(offsets)), src, offsets)
 
 
 def fps(points: PointCloud | np.ndarray, m: int, start: int = 0) -> np.ndarray:
@@ -356,10 +407,7 @@ def build_hierarchy(
             raise ValueError(f"k={kk} exceeds level size {len(prev_pos)}")
         down = knn(prev_pos, level_pos, kk)
         inv = invert_map(down)
-        fallback = np.full(len(prev_pos), -1, dtype=np.int64)
-        empty = np.flatnonzero(inv.row_lengths() == 0)
-        if len(empty):
-            fallback[empty] = knn(level_pos, prev_pos[empty], 1).indices[:, 0]
+        fallback = nearest_samples(inv, level_pos, prev_pos)
         hierarchy.levels.append(HierarchyLevel(subset, level_pos, down, inv, fallback))
         prev_pos = level_pos
     return hierarchy
@@ -384,18 +432,12 @@ def up_influence_inverse(level: HierarchyLevel, query: int) -> set[int]:
     decoder reuses the inverted down-sampling map."""
     rows = level.down_inverse.row(query)
     if len(rows) == 0:
-        rows = np.array([level.up_fallback[query]])
-    out: set[int] = set()
-    for j in rows:
-        out.update(level.down_map.indices[j].tolist())
-    return out
+        rows = [level.up_fallback[query]]
+    return set(level.down_map.indices[rows].ravel().tolist())
 
 
 def up_influence_trilinear(level: HierarchyLevel, prev_positions: np.ndarray, query: int) -> set[int]:
     """Influence set of the asymmetric baseline: the query interpolates its 3
     nearest sampled points, each of which saw its own down-map neighborhood."""
     order = knn(level.positions, prev_positions[query : query + 1], min(3, len(level.positions))).indices[0]
-    out: set[int] = set()
-    for j in order:
-        out.update(level.down_map.indices[j].tolist())
-    return out
+    return set(level.down_map.indices[order].ravel().tolist())

@@ -5,8 +5,10 @@ vector attention, token-mixing MLPs) behind one interface.
 The central layer scores each (query, neighbor) edge with a scalar
 ``g2([g1(x_j); delta(p_i - p_j)])``, normalizes the scores per query with a
 softmax over the neighbor axis, and sums ``g3(x_j)`` under those weights.
-Because the softmax runs over CSR segments, the same kernel serves fixed-K
-forward maps, variable-cardinality inverse maps, and hierarchy transitions.
+Every map hands the kernel its one ``geom.Edges`` (``map.edges``, or
+``geom.up_edges`` for up-sampling), built in ``geom``, never here. Because
+the softmax runs over those CSR segments, one kernel serves fixed-K forward
+maps, variable-cardinality inverse maps, and hierarchy transitions.
 
 Work that depends on ``x_j`` alone runs once per source point, not once per
 edge: a linear layer commutes with a row gather, so ``g1``, ``g3`` and the
@@ -46,7 +48,7 @@ from .autodiff import (
     slice_last,
     transpose_last2,
 )
-from .geom import InverseNeighborMap, NeighborMap, knn
+from .geom import Edges, InverseNeighborMap, NeighborMap, nearest_samples, up_edges
 from .nn import LayerNorm, Linear, Mlp2, ParamStore, Rng
 
 __all__ = [
@@ -136,9 +138,7 @@ def _softmax_mix_edges(
     x_src: Tensor,
     pos_q: np.ndarray,
     pos_s: np.ndarray,
-    dst: np.ndarray,
-    src: np.ndarray,
-    offsets: np.ndarray,
+    edges: Edges,
     params: PointMixerParams,
 ) -> Tensor:
     """Shared edge kernel: score, normalize per query segment, mix values.
@@ -155,38 +155,17 @@ def _softmax_mix_edges(
     pe1, pe2 = params.delta.mlp.fc1, params.delta.mlp.fc2
     w_pos = slice_last(fc1.W, c, c + params.pe_width)
     hidden = linear(params.g1(x_src), slice_last(fc1.W, 0, c), linear(pe2.b, w_pos, fc1.b))
-    scores = edge_scores(
-        hidden, src, pos_q[dst] - pos_s[src], pe1.W, pe1.b, matmul(w_pos, pe2.W), params.g2.fc2.W, params.g2.fc2.b
-    )
+    src, offsets = edges.src, edges.offsets
+    rel = pos_q[edges.dst] - pos_s[src]
+    scores = edge_scores(hidden, src, rel, pe1.W, pe1.b, matmul(w_pos, pe2.W), params.g2.fc2.W, params.g2.fc2.b)
     weights = segment_softmax(scores, offsets)
     return csr_weighted_sum(weights, params.g3(x_src), src, offsets)
-
-
-def _forward_edges(m: NeighborMap):
-    cached = getattr(m, "_edge_cache", None)
-    if cached is not None:
-        return cached
-    n, k = m.indices.shape
-    dst = np.repeat(np.arange(n, dtype=np.int64), k)
-    src = m.indices.ravel()
-    offsets = np.arange(n + 1, dtype=np.int64) * k
-    m._edge_cache = (dst, src, offsets)
-    return m._edge_cache
-
-
-def _inverse_edges(inv: InverseNeighborMap):
-    cached = getattr(inv, "_edge_cache", None)
-    if cached is None:
-        dst = np.repeat(np.arange(inv.source_count, dtype=np.int64), inv.row_lengths())
-        inv._edge_cache = cached = (dst, inv.indices, inv.offsets)
-    return cached
 
 
 def intra_set_mix(x, positions, m: NeighborMap, params: PointMixerParams) -> Tensor:
     """Mix each query with its own k nearest neighbors (forward map)."""
     pos = np.asarray(positions, dtype=np.float64)
-    dst, src, offsets = _forward_edges(m)
-    return _softmax_mix_edges(as_tensor(x), pos, pos, dst, src, offsets, params)
+    return _softmax_mix_edges(as_tensor(x), pos, pos, m.edges, params)
 
 
 def inter_set_mix(x, positions, inv: InverseNeighborMap, params: PointMixerParams) -> Tensor:
@@ -197,17 +176,14 @@ def inter_set_mix(x, positions, inv: InverseNeighborMap, params: PointMixerParam
     sit in no neighborhood. An empty row mixes nothing and gives a zero
     vector, so inside a residual block the point's features pass through."""
     pos = np.asarray(positions, dtype=np.float64)
-    dst, src, offsets = _inverse_edges(inv)
-    return _softmax_mix_edges(as_tensor(x), pos, pos, dst, src, offsets, params)
+    return _softmax_mix_edges(as_tensor(x), pos, pos, inv.edges, params)
 
 
 def hier_down_mix(x_o, pos_o, pos_s, m_os: NeighborMap, params: PointMixerParams) -> Tensor:
     """Pool original-level features into sampled queries via the forward
     cross-level map (queries are the sampled points)."""
-    dst, src, offsets = _forward_edges(m_os)
     return _softmax_mix_edges(
-        as_tensor(x_o), np.asarray(pos_s, dtype=np.float64), np.asarray(pos_o, dtype=np.float64),
-        dst, src, offsets, params,
+        as_tensor(x_o), np.asarray(pos_s, dtype=np.float64), np.asarray(pos_o, dtype=np.float64), m_os.edges, params
     )
 
 
@@ -224,42 +200,17 @@ def hier_up_mix(
     the inverted down-sampling map; the result is added to the skip features.
 
     Original points absent from every sampled neighborhood fall back to
-    their single nearest sampled point (singleton segment, weight 1).
-    ``fallback`` may carry those precomputed nearest-sample indices (-1 for
-    covered rows) so no search happens at decode time.
+    their single nearest sampled point (singleton segment, weight 1; see
+    ``geom.up_edges``). ``fallback`` may carry those precomputed
+    nearest-sample indices (-1 for covered rows, as in
+    ``HierarchyLevel.up_fallback``) so no search happens at decode time;
+    without it ``geom.nearest_samples`` runs once per call.
     """
-    x_s = as_tensor(x_s)
     pos_s = np.asarray(pos_s, dtype=np.float64)
     pos_o = np.asarray(pos_o, dtype=np.float64)
-    cached = getattr(inv_os, "_up_edge_cache", None)
-    if cached is None:
-        lengths = inv_os.row_lengths()
-        empty = np.flatnonzero(lengths == 0)
-        if len(empty):
-            if len(pos_s) == 0:
-                raise ValueError("cannot resolve fallback neighbors for an empty sampled set")
-            if fallback is None:
-                fb = knn(pos_s, pos_o[empty], 1).indices[:, 0]
-            else:
-                fb = np.asarray(fallback, dtype=np.int64)[empty]
-            new_lengths = lengths.copy()
-            new_lengths[empty] = 1
-            offsets = np.zeros(len(new_lengths) + 1, dtype=np.int64)
-            np.cumsum(new_lengths, out=offsets[1:])
-            src = np.empty(offsets[-1], dtype=np.int64)
-            nonempty = np.flatnonzero(lengths > 0)
-            place = np.repeat(offsets[nonempty], lengths[nonempty]) + (
-                np.arange(len(inv_os.indices)) - np.repeat(inv_os.offsets[nonempty], lengths[nonempty])
-            )
-            src[place] = inv_os.indices
-            src[offsets[empty]] = fb
-            dst = np.repeat(np.arange(len(new_lengths), dtype=np.int64), new_lengths)
-            cached = (dst, src, offsets)
-        else:
-            cached = _inverse_edges(inv_os)
-        inv_os._up_edge_cache = cached
-    dst, src, offsets = cached
-    mixed = _softmax_mix_edges(x_s, pos_o, pos_s, dst, src, offsets, params)
+    if fallback is None:
+        fallback = nearest_samples(inv_os, pos_s, pos_o)
+    mixed = _softmax_mix_edges(as_tensor(x_s), pos_o, pos_s, up_edges(inv_os, fallback), params)
     if skip is None:
         return mixed
     return mixed + as_tensor(skip)
@@ -349,30 +300,22 @@ def _maxpool_mix(x, positions, index_map, v: MaxPoolParams) -> Tensor:
     x = as_tensor(x)
     _check_width(x, v.width)
     pos = np.asarray(positions, dtype=np.float64)
-    if isinstance(index_map, NeighborMap):
-        dst, src, offsets = _forward_edges(index_map)
-    else:
-        dst, src, offsets = _inverse_edges(index_map)
-    rel = pos[dst] - pos[src]
-    h = v.mlp(concat_last([gather_rows(x, src), Tensor(rel)]))
-    if isinstance(index_map, NeighborMap):
-        n, k = index_map.indices.shape
-        return max_axis1(reshape(h, (n, k, v.width)))
-    return segment_max(h, offsets)
+    e = index_map.edges
+    h = v.mlp(concat_last([gather_rows(x, e.src), Tensor(pos[e.dst] - pos[e.src])]))
+    if isinstance(index_map, NeighborMap):  # fixed K: a dense max over the neighbor axis
+        return max_axis1(reshape(h, (index_map.query_count, index_map.k, v.width)))
+    return segment_max(h, e.offsets)
 
 
 def _attention_mix(x, positions, index_map, v: VectorAttentionParams) -> Tensor:
     x = as_tensor(x)
     _check_width(x, v.width)
     pos = np.asarray(positions, dtype=np.float64)
-    if isinstance(index_map, NeighborMap):
-        dst, src, offsets = _forward_edges(index_map)
-    else:
-        dst, src, offsets = _inverse_edges(index_map)
-    pe = v.delta(pos[dst] - pos[src])
-    logits = gather_rows(v.w1(x), dst) - gather_rows(v.w2(x), src) + pe
-    weights = segment_softmax(v.psi(logits), offsets)
-    return segment_sum(weights * (gather_rows(v.w3(x), src) + pe), offsets)
+    e = index_map.edges
+    pe = v.delta(pos[e.dst] - pos[e.src])
+    logits = gather_rows(v.w1(x), e.dst) - gather_rows(v.w2(x), e.src) + pe
+    weights = segment_softmax(v.psi(logits), e.offsets)
+    return segment_sum(weights * (gather_rows(v.w3(x), e.src) + pe), e.offsets)
 
 
 def _token_mlp_mix(x, positions, index_map, v: TokenMlpParams) -> Tensor:

@@ -333,5 +333,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             shape = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank)) if rank else ()
             n = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(_read_exact(fh, 8 * n), dtype="<f8").reshape(shape)
+            if not np.all(np.isfinite(data)):
+                raise ValueError(f"non-finite values in checkpoint array {name!r}")
             out[name] = data.astype(np.float64)
     return out

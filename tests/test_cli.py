@@ -253,6 +253,47 @@ def test_eval_non_finite_feature_exits_3(tmp_path, capsys):
     assert out == ""
 
 
+def test_eval_cloud_header_beyond_the_file_size_exits_3(tmp_path, capsys):
+    cfg_path, ckpt, data_dir = eval_fixture(tmp_path, capsys)
+    cloud_path = data_dir / "test" / "cloud_00000.pmc"
+    lines = cloud_path.read_text().splitlines()
+    lines[0] = "pmcloud 1000000000000 " + " ".join(lines[0].split()[2:])
+    cloud_path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "eval", "--config", str(cfg_path),
+                             "--checkpoint", str(ckpt), "--data", str(data_dir))
+    assert code == 3
+    assert "more than the file holds" in err
+    assert out == ""
+
+
+def nan_checkpoint(good, path):
+    state = nn.load_checkpoint(good)
+    name = sorted(state)[0]
+    state[name] = state[name].copy()
+    state[name].flat[0] = np.nan
+    nn.save_checkpoint(path, state)
+    return path
+
+
+def test_eval_non_finite_checkpoint_exits_3(tmp_path, capsys):
+    cfg_path, ckpt, data_dir = eval_fixture(tmp_path, capsys)
+    bad = nan_checkpoint(ckpt, tmp_path / "nan.pmix")
+    code, out, err = run_cli(capsys, "eval", "--config", str(cfg_path),
+                             "--checkpoint", str(bad), "--data", str(data_dir))
+    assert code == 3
+    assert "non-finite values in checkpoint" in err
+    assert out == ""
+
+
+def test_train_resume_from_non_finite_checkpoint_exits_3(tmp_path, capsys):
+    cfg_path = tiny_train_config(tmp_path, "first", **{"train.epochs": 0})
+    assert run_cli(capsys, "train", str(cfg_path))[0] == 0
+    bad = nan_checkpoint(tmp_path / "first" / "model.pmix", tmp_path / "nan.pmix")
+    code, _, err = run_cli(capsys, "train", str(tiny_train_config(tmp_path, "resumed", **{"train.resume": str(bad)})))
+    assert code == 3
+    assert "non-finite values in checkpoint" in err
+
+
 # -- gradcheck ---------------------------------------------------------------------
 
 

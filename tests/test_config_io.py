@@ -104,6 +104,18 @@ def test_cloud_header_and_count_validation(tmp_path):
         cloudio.read_cloud(path)
 
 
+def test_cloud_header_count_is_bounded_by_the_file_size(tmp_path):
+    path = tmp_path / "huge.pmc"
+    path.write_text("pmcloud 1000000000000 0 0\n0 0 0\n")
+    with pytest.raises(ValueError, match="more than the file holds"):
+        cloudio.read_cloud(path)
+    path.write_text("pmcloud 1 1000000000000 0\n0 0 0\n")  # an absurd channel count
+    with pytest.raises(ValueError, match="more than the file holds"):
+        cloudio.read_cloud(path)
+    path.write_text("pmcloud 2 0 1\n0 0 0 1\n1 1 1 0")  # the tightest file still reads
+    assert cloudio.read_cloud(path).labels.tolist() == [1, 0]
+
+
 def test_dataset_directory_roundtrip(tmp_path):
     spec = tasks.DatasetSpec(task="seg", classes=2, points=32, train_clouds=3,
                              test_clouds=2, seed=5)

@@ -244,6 +244,45 @@ def test_same_level_inverse_rows_nonempty():
     assert np.all(inv.row_lengths() >= 1)
 
 
+# -- edges ---------------------------------------------------------------------
+
+
+def test_map_edges_list_rows_in_csr_order_and_are_built_once():
+    rng = np.random.default_rng(14)
+    pts = np.concatenate([np.full((8, 3), 0.5), random_cloud(rng, 20)])
+    m = geom.knn(pts, pts, 4)
+    inv = geom.invert_map(m)
+    assert np.any(inv.row_lengths() == 0)
+    for index_map, rows in ((m, m.indices.tolist()), (inv, [inv.row(i).tolist() for i in range(len(pts))])):
+        e = index_map.edges
+        assert e is index_map.edges
+        for q, row in enumerate(rows):
+            seg = slice(e.offsets[q], e.offsets[q + 1])
+            assert e.src[seg].tolist() == row
+            assert np.all(e.dst[seg] == q)
+
+
+def test_up_edges_splice_singleton_fallback_rows():
+    rng = np.random.default_rng(15)
+    pts = np.concatenate([np.full((8, 3), 0.5), random_cloud(rng, 20)])
+    lv = geom.build_hierarchy(pts, [0.25], k=2).levels[1]
+    inv = lv.down_inverse
+    empty = inv.row_lengths() == 0
+    assert empty.sum() > 1
+    assert np.array_equal(lv.up_fallback, geom.nearest_samples(inv, lv.positions, pts))
+    assert np.all((lv.up_fallback >= 0) == empty)
+    expected = geom.knn(lv.positions, pts, 1).indices[:, 0]
+    assert np.array_equal(lv.up_fallback[empty], expected[empty])
+    e = geom.up_edges(inv, lv.up_fallback)
+    for i in range(len(pts)):
+        row = [lv.up_fallback[i]] if empty[i] else inv.row(i).tolist()
+        assert e.src[e.offsets[i] : e.offsets[i + 1]].tolist() == row
+        assert np.all(e.dst[e.offsets[i] : e.offsets[i + 1]] == i)
+    covered = geom.build_hierarchy(pts[8:], [0.5], k=6).levels[1]
+    assert np.all(covered.up_fallback == -1)
+    assert geom.up_edges(covered.down_inverse, covered.up_fallback) is covered.down_inverse.edges
+
+
 # -- fps -----------------------------------------------------------------------
 
 

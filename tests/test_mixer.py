@@ -178,7 +178,7 @@ def test_hier_up_counts_its_own_fallback_search():
     x_s = Tensor(rng.normal(size=(3, 3)))
     outputs = []
     for use_stored, searches in ((False, 1), (True, 0)):
-        # a fresh hierarchy each time: up-sampling edges are cached on the inverse
+        # a fresh hierarchy each time, so neither call can reuse the other's maps
         lv = geom.build_hierarchy(pts_o, [1.0 / 3.0], k=1).levels[1]
         assert np.any(lv.down_inverse.row_lengths() == 0)
         before = geom.knn_call_count()
@@ -187,6 +187,22 @@ def test_hier_up_counts_its_own_fallback_search():
         assert geom.knn_call_count() - before == searches
         outputs.append(y.data)
     assert np.array_equal(outputs[0], outputs[1])
+
+
+def test_hier_up_uses_each_calls_own_fallback():
+    store, p = make_params(2, seed=9)
+    pts_o = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
+    pts_s = pts_o[[0, 2]]
+    m = geom.knn(pts_o, pts_s, 1)  # point 1 lies in no sampled neighborhood
+    inv = geom.invert_map(m)
+    x_s = Tensor(np.array([[0.5, -1.5], [2.0, 1.0]]))
+    outputs = []
+    for fallback in (np.array([-1, 0, -1]), np.array([-1, 1, -1])):
+        y = mixer.hier_up_mix(x_s, pts_s, pts_o, inv, p, skip=None, fallback=fallback).data
+        fresh = mixer.hier_up_mix(x_s, pts_s, pts_o, geom.invert_map(m), p, skip=None, fallback=fallback).data
+        assert np.array_equal(y, fresh)
+        outputs.append(y)
+    assert not np.allclose(outputs[0][1], outputs[1][1])
 
 
 def test_hier_up_matches_dense_loop_oracle_and_adds_skip():

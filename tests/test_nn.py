@@ -112,6 +112,15 @@ def test_gelu_backward_bitwise_equals_direct_formula():
     assert np.array_equal(x.grad, g * (cdf + xd * pdf))
 
 
+def test_gelu_keeps_float32():
+    x = Tensor(np.linspace(-3.0, 3.0, 7, dtype=np.float32), requires_grad=True)
+    y = nn.gelu(x)
+    y.backward(np.ones(7, dtype=np.float32))
+    assert y.data.dtype == np.float32
+    assert x.grad.dtype == np.float32
+    assert np.allclose(y.data, nn.gelu(Tensor(x.data.astype(np.float64))).data, rtol=1e-6, atol=1e-6)
+
+
 # -- segment softmax ---------------------------------------------------------------
 
 
@@ -474,6 +483,16 @@ def test_checkpoint_truncated_anywhere_is_a_value_error(tmp_path):
         cut.write_bytes(whole[:size])
         with pytest.raises(ValueError, match="truncated checkpoint"):
             nn.load_checkpoint(cut)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_values(tmp_path, bad):
+    path = tmp_path / "model.pmix"
+    weights = np.ones((2, 3))
+    weights[1, 2] = bad
+    nn.save_checkpoint(path, {"enc.b": np.zeros(3), "enc.W": weights})
+    with pytest.raises(ValueError, match="non-finite values in checkpoint array 'enc.W'"):
+        nn.load_checkpoint(path)
 
 
 def test_finite_check_flag_catches_overflow():
