@@ -3,7 +3,12 @@
 Tensors are immutable between operations: every op allocates a fresh node
 that remembers its parents and a backward closure. Calling ``backward()`` on
 a scalar walks the tape in reverse topological order and accumulates
-gradients into every node with ``requires_grad`` set.
+gradients into every leaf with ``requires_grad`` set. The walk releases the
+tape behind it: once an interior node's backward has run, the node drops its
+closure (and with it every array the closure saved), its parents and its
+``.grad``. So backward keeps no interior gradients, only one graph is alive
+at a time in a training loop, and a second backward through a released
+graph raises ``RuntimeError``.
 
 Float64 is the default dtype (correctness runs); float32 inputs are carried
 through unchanged for benchmark runs.
@@ -187,7 +192,11 @@ class Tensor:
             self.grad += g
 
     def backward(self, seed=None):
-        """Backpropagate from this node; ``seed`` defaults to 1 for scalars."""
+        """Backpropagate from this node; ``seed`` defaults to 1 for scalars.
+
+        Leaves keep their gradients; every interior node is released as the
+        walk passes it (see the module docstring). Raises RuntimeError,
+        before any gradient moves, when the graph was released already."""
         if seed is None:
             if self.data.size != 1:
                 raise ValueError("backward() without seed requires a scalar output")
@@ -202,16 +211,21 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is None and node._op:
+                raise RuntimeError(f"backward through a released graph: {node._op!r} was released by an earlier backward()")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen and (p._backward is not None or p.requires_grad):
                     stack.append((p, False))
         self._accumulate(np.asarray(seed, dtype=self.data.dtype))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                g = -node.grad if node._op in _fault_ops else node.grad
-                node._backward(g)
+        while topo:  # popping lets each node die once its children are done
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
+                node._backward(-node.grad if node._op in _fault_ops else node.grad)
+            node._backward, node._parents, node.grad = None, (), None
 
     # -- operator sugar ---------------------------------------------------
 
@@ -541,15 +555,20 @@ def _gelu_parts(x: np.ndarray, slope: bool, out=None, slope_out=None, cdf_out=No
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    d = None
-    if slope:
-        d = np.multiply(x, x, out=slope_out)
-        d *= -0.5
-        np.exp(d, out=d)
-        d *= _INV_SQRT2PI
-        d *= x
-        d += cdf
+    d = _gelu_slope(x, cdf, slope_out) if slope else None
     return np.multiply(x, cdf, out=out), d
+
+
+def _gelu_slope(x: np.ndarray, cdf: np.ndarray, out=None) -> np.ndarray:
+    """GELU's derivative ``Phi(x) + x pdf(x)`` from ``x`` and its ``Phi``,
+    in place in ``out`` when given; no erf."""
+    d = np.multiply(x, x, out=out)
+    d *= -0.5
+    np.exp(d, out=d)
+    d *= _INV_SQRT2PI
+    d *= x
+    d += cdf
+    return d
 
 
 def gelu(a) -> Tensor:
@@ -594,9 +613,12 @@ def edge_scores(hidden, src, rel, W1, b1, W_fold, w2, b2) -> Tensor:
     (1, H) and ``b2`` (1,); the result has shape (E,). The edges run in
     contiguous blocks of about ``_EDGE_BLOCK_FLOATS / max(P, H)`` rows, so
     each block's hidden layers stay in cache. On the tape the op keeps
-    each hidden layer's GELU output and derivative, nothing else; its
-    backward walks the same blocks and sums ``hidden``'s per-edge gradient
-    back per source row with one sparse transpose product."""
+    ``Phi(W1 rel + b1)`` of the first hidden layer and the GELU output and
+    derivative of the second, E (P + 2H) values, nothing else. Its backward
+    walks the same blocks, rebuilds the first layer's pre-activation, GELU
+    output and derivative from ``rel`` and the kept Phi (a d-wide product,
+    no erf), and sums ``hidden``'s per-edge gradient back per source row
+    with one sparse transpose product."""
     h, W1, b1, wf, w2, b2 = (as_tensor(t) for t in (hidden, W1, b1, W_fold, w2, b2))
     col = np.asarray(src, dtype=np.int64)
     rel = np.asarray(rel)
@@ -613,13 +635,14 @@ def edge_scores(hidden, src, rel, W1, b1, W_fold, w2, b2) -> Tensor:
     parents = (h, W1, b1, wf, w2, b2)
     save = _records_tape(parents)
     if save:
-        z1, d1 = np.empty((n_edges, pe), dtype), np.empty((n_edges, pe), dtype)
+        cdf1 = np.empty((n_edges, pe), dtype)
         z2, d2 = np.empty((n_edges, width), dtype), np.empty((n_edges, width), dtype)
     # per-block scratch, reused by every block: fresh buffers cost page faults
-    a1, c1 = np.empty((rows, pe), dtype), np.empty((rows, pe), dtype)
+    a1 = np.empty((rows, pe), dtype)
+    c1 = None if save else np.empty((rows, pe), dtype)
     a2, c2, hj = np.empty((rows, width), dtype), np.empty((rows, width), dtype), np.empty((rows, width), dtype)
     h_data = h.data.astype(dtype, copy=False)
-    scratch = a1.nbytes + c1.nbytes + a2.nbytes + c2.nbytes + hj.nbytes
+    scratch = sum(b.nbytes for b in (a1, c1, a2, c2, hj) if b is not None)
     if _alloc.enabled:
         _alloc.add(scratch)
     out = np.empty(n_edges, dtype)
@@ -627,7 +650,7 @@ def edge_scores(hidden, src, rel, W1, b1, W_fold, w2, b2) -> Tensor:
         m = blk.stop - blk.start
         a = np.matmul(rel[blk], W1.data.T, out=a1[:m])
         a += b1.data
-        z, _ = _gelu_parts(a, save, *((z1[blk], d1[blk]) if save else (a, None)), c1[:m])
+        z, _ = _gelu_parts(a, False, a, None, cdf1[blk] if save else c1[:m])
         a = np.matmul(z, wf.data.T, out=a2[:m])
         a += np.take(h_data, col[blk], axis=0, out=hj[:m])
         z, _ = _gelu_parts(a, save, *((z2[blk], d2[blk]) if save else (a, None)), c2[:m])
@@ -637,16 +660,23 @@ def edge_scores(hidden, src, rel, W1, b1, W_fold, w2, b2) -> Tensor:
         _alloc.sub(scratch)
 
     def bwd(g):
-        g_hidden, g_z1 = np.empty((n_edges, width), dtype), np.empty((rows, pe), dtype)
+        g_hidden = np.empty((n_edges, width), dtype)
+        buf, d1 = np.empty((rows, pe), dtype), np.empty((rows, pe), dtype)
         g_W1, g_b1 = np.zeros((pe, rel.shape[1]), dtype), np.zeros(pe, dtype)
         g_wf, g_w2 = np.zeros((width, pe), dtype), np.zeros(width, dtype)
         for blk in blocks:
+            m = blk.stop - blk.start
+            # the first hidden layer again, bit for bit as the forward built it
+            a = np.matmul(rel[blk], W1.data.T, out=buf[:m])
+            a += b1.data
+            d = _gelu_slope(a, cdf1[blk], d1[:m])
+            z = np.multiply(a, cdf1[blk], out=a)
             g_w2 += g[blk] @ z2[blk]
             ga = np.multiply(g[blk, None], w2.data, out=g_hidden[blk])
             ga *= d2[blk]
-            g_wf += ga.T @ z1[blk]
-            ga = np.matmul(ga, wf.data, out=g_z1[: blk.stop - blk.start])
-            ga *= d1[blk]
+            g_wf += ga.T @ z
+            ga = np.matmul(ga, wf.data, out=buf[:m])  # z is spent
+            ga *= d
             g_W1 += ga.T @ rel[blk]
             g_b1 += ga.sum(axis=0)
         if h.requires_grad:
@@ -657,13 +687,13 @@ def edge_scores(hidden, src, rel, W1, b1, W_fold, w2, b2) -> Tensor:
         w2._accumulate(g_w2[None, :])
         b2._accumulate(g.sum(keepdims=True))
 
-    result = _make(out, parents, bwd, "edge_scores")
     if save and _alloc.enabled:
-        # the kept hidden layers live as long as the output's backward closure
-        kept = z1.nbytes + d1.nbytes + z2.nbytes + d2.nbytes
+        # the kept arrays live as long as the backward closure: until the
+        # tape walk releases it, or until the output dies unwalked
+        kept = cdf1.nbytes + z2.nbytes + d2.nbytes
         _alloc.add(kept)
-        weakref.finalize(result, _alloc.sub, kept)
-    return result
+        weakref.finalize(bwd, _alloc.sub, kept)
+    return _make(out, parents, bwd, "edge_scores")
 
 
 def segment_softmax(scores, offsets) -> Tensor:

@@ -38,7 +38,9 @@ def write_cloud(path, cloud: PointCloud):
         fh.write("\n".join(lines) + "\n")
 
 
-def read_cloud(path) -> PointCloud:
+def read_cloud(path, num_classes: int | None = None) -> PointCloud:
+    """Parse and validate one cloud file; with ``num_classes`` every label
+    must lie in ``[0, num_classes)``. Raises ValueError naming the file."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().split()
         if len(header) != 4 or header[0] != "pmcloud":
@@ -64,7 +66,10 @@ def read_cloud(path) -> PointCloud:
         if fh.readline().strip():
             raise ValueError(f"{path}: trailing data after {n} points")
     cloud = PointCloud(positions, features, labels)
-    cloud.validate()
+    try:
+        cloud.validate(num_classes)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     return cloud
 
 
@@ -110,11 +115,12 @@ def read_dataset(in_dir) -> Dataset:
         )
         entries = [line.strip() for line in fh if line.strip()]
     splits: dict[str, list] = {"train": [], "test": [], "train_targets": [], "test_targets": []}
+    classes = None if spec.task == "recon" else spec.classes  # recon ignores the class count
     for rel in entries:
         split = rel.split("/", 1)[0]
         if split not in splits:
             raise ValueError(f"{manifest_path}: unknown split in entry {rel!r}")
-        splits[split].append(read_cloud(os.path.join(in_dir, rel)))
+        splits[split].append(read_cloud(os.path.join(in_dir, rel), classes))
     spec.train_clouds = len(splits["train"])
     spec.test_clouds = len(splits["test"])
     if spec.task == "recon":

@@ -26,6 +26,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 __all__ = [
+    "COORD_LIMIT",
+    "check_coordinates",
     "PointCloud",
     "Edges",
     "NeighborMap",
@@ -50,10 +52,23 @@ __all__ = [
 
 _knn_calls = 0
 
+# Largest accepted |coordinate|: below it every squared distance stays
+# finite (3 * (2e150)^2 is about 1.2e301, under float64's 1.8e308).
+COORD_LIMIT = 1e150
+
 
 def knn_call_count() -> int:
     """Total knn() invocations so far (instrumentation for decode audits)."""
     return _knn_calls
+
+
+def check_coordinates(positions: np.ndarray):
+    """Raise ValueError on a non-finite coordinate or one beyond
+    ``COORD_LIMIT`` in magnitude."""
+    if not np.all(np.isfinite(positions)):
+        raise ValueError("non-finite coordinates")
+    if float(np.abs(positions).max(initial=0.0)) > COORD_LIMIT:  # float(): float32 cannot hold the limit
+        raise ValueError(f"coordinates beyond +-{COORD_LIMIT:g}: squared distances would overflow")
 
 
 @dataclass
@@ -81,8 +96,7 @@ class PointCloud:
     def validate(self, num_classes: int | None = None):
         if self.positions.ndim != 2 or self.positions.shape[1] != 3 or self.n < 1:
             raise ValueError("positions must be a non-empty (N, 3) array")
-        if not np.all(np.isfinite(self.positions)):
-            raise ValueError("non-finite coordinates")
+        check_coordinates(self.positions)
         if self.features.shape[0] != self.n:
             raise ValueError("feature row count does not match positions")
         if not np.all(np.isfinite(self.features)):
@@ -188,6 +202,9 @@ def _search(src: np.ndarray, qry: np.ndarray, k: int) -> tuple[np.ndarray, np.nd
         dense = np.arange(len(qry))
     else:
         tree_d, cand = cKDTree(src).query(qry, k=width)
+        # the tree pads a row with index len(src) when distances overflow to inf
+        short = np.any(cand == len(src), axis=1)
+        cand[short] = 0
         diff = qry[:, None, :] - src[cand]
         cand_d2 = np.einsum("ijk,ijk->ij", diff, diff)
         order = np.lexsort((cand, cand_d2))[:, :k]
@@ -195,7 +212,7 @@ def _search(src: np.ndarray, qry: np.ndarray, k: int) -> tuple[np.ndarray, np.nd
         d2[:] = np.take_along_axis(cand_d2, order, axis=1)
         # every other source lies at least about as far as the last candidate;
         # a row whose k-th distance comes within rounding of it may miss a tie
-        dense = np.flatnonzero(d2[:, -1] >= tree_d[:, -1] ** 2 * (1.0 - _TIE_RTOL))
+        dense = np.flatnonzero(short | (d2[:, -1] >= tree_d[:, -1] ** 2 * (1.0 - _TIE_RTOL)))
     for lo, hi, block in _dense_blocks(qry[dense], src):
         order = np.argsort(block, axis=1, kind="stable")[:, :k]
         idx[dense[lo:hi]] = order

@@ -306,15 +306,15 @@ def _encode(net: Network, plan: Plan, feats):
 
 def _cloud_inputs(cloud):
     """Positions and features of a PointCloud, or of a bare (N, 3) position
-    array that doubles as its features. Raises ValueError on an empty cloud
-    and on non-finite positions or features: one NaN would otherwise spread
-    through the softmax mixing into every output row."""
+    array that doubles as its features. Raises ValueError on an empty cloud,
+    on non-finite positions or features (one NaN would otherwise spread
+    through the softmax mixing into every output row), and on coordinates
+    beyond ``geom.COORD_LIMIT``, whose squared distances would overflow."""
     positions = cloud.positions if hasattr(cloud, "positions") else np.asarray(cloud)
     feats = cloud.features if hasattr(cloud, "features") else positions
     if len(positions) == 0:
         raise ValueError("empty cloud")
-    if not np.all(np.isfinite(positions)):
-        raise ValueError("non-finite coordinates")
+    geom.check_coordinates(positions)
     if not np.all(np.isfinite(as_tensor(feats).data)):
         raise ValueError("non-finite features")
     return positions, feats
@@ -324,7 +324,8 @@ def forward_classify(net: Network, cloud, plan: Plan | None = None,
                      training: bool = False, rng: Rng | None = None) -> Tensor:
     """Encoder-only pass, mean pooling over the deepest level, FC head.
 
-    Raises ValueError on an empty cloud or non-finite positions/features."""
+    Raises ValueError on an empty cloud, non-finite positions/features or
+    coordinates beyond ``geom.COORD_LIMIT``."""
     if not isinstance(net.config.head, ClassificationHead):
         raise ValueError("network has no classification head")
     positions, feats = _cloud_inputs(cloud)
@@ -343,7 +344,8 @@ def forward_dense(net: Network, cloud, plan: Plan | None = None) -> Tensor:
     With hierarchical mixing the decoder only replays stored inverse maps;
     ``last_decode_knn_calls`` records how many kNN searches the decode phase
     actually ran (0 for the symmetric design). Raises ValueError on an empty
-    cloud or non-finite positions/features.
+    cloud, non-finite positions/features or coordinates beyond
+    ``geom.COORD_LIMIT``.
     """
     if not isinstance(net.config.head, DenseHead):
         raise ValueError("network has no dense head")

@@ -266,6 +266,47 @@ def test_eval_cloud_header_beyond_the_file_size_exits_3(tmp_path, capsys):
     assert out == ""
 
 
+def edit_first_point(cloud_path, column, value):
+    """Replace one field of the first point's line of a .pmc file."""
+    lines = cloud_path.read_text().splitlines()
+    fields = lines[1].split()
+    fields[column] = value
+    lines[1] = " ".join(fields)
+    cloud_path.write_text("\n".join(lines) + "\n")
+
+
+def test_eval_label_outside_the_classes_exits_3(tmp_path, capsys):
+    cfg_path, ckpt, data_dir = eval_fixture(tmp_path, capsys)
+    edit_first_point(data_dir / "test" / "cloud_00000.pmc", -1, "7")  # the manifest declares 3 classes
+    code, out, err = run_cli(capsys, "eval", "--config", str(cfg_path),
+                             "--checkpoint", str(ckpt), "--data", str(data_dir))
+    assert code == 3
+    assert "cloud_00000.pmc: label out of range" in err
+    assert out == ""
+
+
+def test_train_label_outside_the_classes_exits_3(tmp_path, capsys):
+    data_dir = tmp_path / "segds"
+    run_cli(capsys, "gen", "--task", "seg", "--out", str(data_dir), "--clouds", "3",
+            "--test-clouds", "1", "--points", "48", "--seed", "0")
+    edit_first_point(data_dir / "train" / "cloud_00002.pmc", -1, "-1")
+    cfg_path = tiny_train_config(tmp_path, "segtrain", **{"data.task": "seg", "data.classes": 2,
+                                                          "data.dir": str(data_dir)})
+    code, _, err = run_cli(capsys, "train", str(cfg_path))
+    assert code == 3
+    assert "cloud_00002.pmc: label out of range" in err
+
+
+def test_eval_coordinate_beyond_the_limit_exits_3(tmp_path, capsys):
+    cfg_path, ckpt, data_dir = eval_fixture(tmp_path, capsys)
+    edit_first_point(data_dir / "test" / "cloud_00000.pmc", 0, "1e155")  # its squares overflow to inf
+    code, out, err = run_cli(capsys, "eval", "--config", str(cfg_path),
+                             "--checkpoint", str(ckpt), "--data", str(data_dir))
+    assert code == 3
+    assert "squared distances would overflow" in err
+    assert out == ""
+
+
 def nan_checkpoint(good, path):
     state = nn.load_checkpoint(good)
     name = sorted(state)[0]

@@ -187,6 +187,40 @@ def test_nearest_non_finite_rows_follow_the_dense_min():
     assert np.all(np.isnan(geom.nearest(src, qry)[1]))
 
 
+def test_huge_finite_coordinates_follow_the_dense_search():
+    # a coordinate of 1e155 squares to inf, so the tree finds no candidates
+    # for its row (and no row finds it) and pads with its sentinel index
+    rng = np.random.default_rng(14)
+    a, b = random_cloud(rng, 64), random_cloud(rng, 40)
+    a[5] = 1e155
+    with np.errstate(over="ignore"):
+        assert np.array_equal(geom.knn(a, a, 4).indices, oracles.knn_rows(a, a, 4))
+    for src, qry, exclude_self in ((b, a, False), (a, b, False), (a, a, True)):
+        idx, d2 = geom.nearest(src, qry, exclude_self=exclude_self)
+        want_idx, want_d2 = dense_nearest(src, qry, exclude_self)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(d2, want_d2)
+    assert geom.nearest(b, a)[1][5] == np.inf
+    assert geom.nearest(a, a, exclude_self=True)[1][5] == np.inf
+    # half the sources far away: every tree row is padded, yet its k-th
+    # candidate is finite
+    a[::2] = rng.uniform(-1, 1, (32, 3)) * 1e155
+    with np.errstate(over="ignore"):
+        assert np.array_equal(geom.knn(a, a, 4).indices, oracles.knn_rows(a, a, 4))
+
+
+def test_coordinates_at_the_limit_keep_squared_distances_finite():
+    pts = np.array([[geom.COORD_LIMIT] * 3, [-geom.COORD_LIMIT] * 3, [0.0, 0, 0]])
+    geom.PointCloud(pts, np.zeros((3, 0))).validate()
+    assert np.all(np.isfinite(geom.nearest(pts, pts, exclude_self=True)[1]))
+    with np.errstate(over="raise"):  # the limit itself overflows float32
+        geom.check_coordinates(np.ones((2, 3), dtype=np.float32))
+    for bad in (2 * geom.COORD_LIMIT, -1e155):
+        pts[2, 1] = bad
+        with pytest.raises(ValueError, match="squared distances would overflow"):
+            geom.PointCloud(pts, np.zeros((3, 0))).validate()
+
+
 # -- invert_map ----------------------------------------------------------------
 
 

@@ -634,6 +634,27 @@ def assert_kernel_matches_per_edge(f, ref, store, x, u):
         assert np.allclose(g, g_ref, rtol=0, atol=1e-12), name
 
 
+def test_mixing_layers_keep_float32():
+    rng = np.random.default_rng(820)
+    store, p = make_params(8, seed=6, pe_width=6)
+    for _, t in store.tensors():
+        t.data = t.data.astype(np.float32)
+    pts = rng.uniform(-1, 1, (64, 3)).astype(np.float32)
+    sub = pts[::4]
+    m, down = geom.knn(pts, pts, 8), geom.knn(pts, sub, 8)
+    x = Tensor(rng.normal(size=(64, 8)).astype(np.float32), requires_grad=True)
+    xs = Tensor(rng.normal(size=(16, 8)).astype(np.float32), requires_grad=True)
+    for mix in (lambda: mixer.intra_set_mix(x, pts, m, p),
+                lambda: mixer.inter_set_mix(x, pts, geom.invert_map(m), p),
+                lambda: mixer.hier_down_mix(x, pts, sub, down, p),
+                lambda: mixer.hier_up_mix(xs, sub, pts, geom.invert_map(down), p, skip=None)):
+        store.zero_grad()
+        out = mix()
+        autodiff.reduce_sum(out).backward()
+        assert out.dtype == np.float32
+        assert all(t.grad.dtype == np.float32 for _, t in store.tensors() if t.grad is not None)
+
+
 def coincident_cloud(rng, copies=32, others=64):
     return np.concatenate([np.full((copies, 3), 0.25), rng.uniform(-1, 1, (others, 3))])
 

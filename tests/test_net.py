@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pointmixer import autodiff, geom, mixer, net, nn
+from pointmixer import autodiff, geom, mixer, net, nn, tasks
 from pointmixer.autodiff import Tensor
 from pointmixer.geom import PointCloud
 
@@ -312,6 +312,18 @@ def test_dense_rejects_nonfinite_inputs():
             net.forward_dense(network, cloud)
 
 
+def test_forward_rejects_coordinates_beyond_the_limit():
+    dense = net.build_network(tiny_config(net.DenseHead(2)), nn.Rng(0))
+    classify = net.build_network(tiny_config(net.ClassificationHead(3)), nn.Rng(0))
+    pos = np.random.default_rng(14).uniform(-1, 1, (64, 3))
+    pos[7, 0] = 1e155
+    for forward, network in ((net.forward_dense, dense), (net.forward_classify, classify)):
+        with pytest.raises(ValueError, match="squared distances would overflow"):
+            forward(network, PointCloud(pos, pos.copy()))
+        with pytest.raises(ValueError, match="squared distances would overflow"):
+            forward(network, pos)
+
+
 def test_classify_rejects_nonfinite_inputs():
     network = net.build_network(tiny_config(net.ClassificationHead(3)), nn.Rng(0))
     for cloud, message in nonfinite_clouds(np.random.default_rng(13)):
@@ -319,3 +331,28 @@ def test_classify_rejects_nonfinite_inputs():
             net.forward_classify(network, cloud)
     with pytest.raises(ValueError, match="non-finite coordinates"):
         net.forward_classify(network, np.full((16, 3), np.nan))
+
+
+def test_training_steps_on_one_plan_hold_one_graph_at_a_time():
+    rng = np.random.default_rng(16)
+    pos = rng.uniform(-1, 1, (1024, 3))
+    cloud = PointCloud(pos, np.concatenate([pos, rng.normal(size=(1024, 3))], axis=1), rng.integers(0, 4, 1024))
+    cfg = net.NetworkConfig(levels=net.default_levels(), head=net.DenseHead(4), k=16, in_channels=6)
+    network = net.build_network(cfg, nn.Rng(0))
+    plan = network.prepare(pos)
+    autodiff.enable_alloc_tracking(True)
+    try:
+        peaks = []
+        for _ in range(2):
+            autodiff.reset_peak_bytes()
+            logits = net.forward_dense(network, cloud, plan)
+            loss = tasks.cross_entropy(logits, cloud.labels)
+            loss.backward()
+            peaks.append(autodiff.peak_bytes())
+            # the tape is gone: only the tensors the caller holds stay live
+            assert autodiff.live_bytes() == logits.data.nbytes + loss.data.nbytes
+            del logits, loss
+            assert autodiff.live_bytes() == 0
+        assert peaks[1] == peaks[0]
+    finally:
+        autodiff.enable_alloc_tracking(False)

@@ -58,6 +58,35 @@ def test_linear_leaves_constant_input_without_gradient():
     assert np.array_equal(W.grad, gW) and np.array_equal(b.grad, gb)
 
 
+# -- backward ---------------------------------------------------------------------
+
+
+def small_graph(rng):
+    W = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=5), requires_grad=True)
+    h = nn.gelu(nn.linear(Tensor(rng.normal(size=(6, 3))), W, b))
+    return W, b, h, autodiff.reduce_sum(h * Tensor(rng.normal(size=(6, 5))))
+
+
+def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
+    W, b, h, loss = small_graph(np.random.default_rng(6))
+    loss.backward()
+    assert W.grad.shape == W.shape and b.grad.shape == b.shape
+    for node in (h, loss):
+        assert node.grad is None and node._backward is None and node._parents == ()
+
+
+def test_second_backward_through_a_released_graph_raises_and_moves_no_gradient():
+    W, b, h, loss = small_graph(np.random.default_rng(7))
+    loss.backward()
+    gW, gb = W.grad.copy(), b.grad.copy()
+    with pytest.raises(RuntimeError, match="released graph: 'reduce_sum'"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="released graph: 'gelu'"):
+        autodiff.reduce_sum(h * 2.0).backward()  # a new graph over a released node
+    assert np.array_equal(W.grad, gW) and np.array_equal(b.grad, gb)
+
+
 # -- layernorm ------------------------------------------------------------------
 
 
@@ -684,7 +713,7 @@ def test_edge_scores_keep_nothing_under_no_grad():
 def test_edge_scores_count_their_kept_buffers_until_the_output_dies():
     rng = np.random.default_rng(35)
     src, rel, tensors = edge_case(rng, edges=64, pe=5, width=3)
-    kept = 2 * len(src) * (5 + 3) * 8  # each hidden layer's GELU output and derivative
+    kept = len(src) * (5 + 2 * 3) * 8  # Phi of the first hidden layer, GELU output and derivative of the second
     autodiff.enable_alloc_tracking(True)
     try:
         out = autodiff.edge_scores(tensors[0], src, rel, *tensors[1:])
@@ -693,6 +722,20 @@ def test_edge_scores_count_their_kept_buffers_until_the_output_dies():
         assert autodiff.live_bytes() == kept + out.data.nbytes  # block scratch released
         del out
         assert autodiff.live_bytes() == 0
+    finally:
+        autodiff.enable_alloc_tracking(False)
+
+
+def test_edge_scores_release_their_kept_buffers_when_backward_passes():
+    rng = np.random.default_rng(38)
+    src, rel, tensors = edge_case(rng, edges=64, pe=5, width=3)
+    autodiff.enable_alloc_tracking(True)
+    try:
+        out = autodiff.edge_scores(tensors[0], src, rel, *tensors[1:])
+        loss = autodiff.reduce_sum(out)
+        loss.backward()
+        # the output is still held, but what its backward kept is gone
+        assert autodiff.live_bytes() == out.data.nbytes + loss.data.nbytes
     finally:
         autodiff.enable_alloc_tracking(False)
 
