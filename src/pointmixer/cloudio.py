@@ -38,6 +38,36 @@ def write_cloud(path, cloud: PointCloud):
         fh.write("\n".join(lines) + "\n")
 
 
+_CHUNK = 256  # point lines converted at a time, which bounds the temporary strings
+
+
+def _parse_body(path, rows: list[str], n: int, c: int, has_labels: int):
+    """Arrays from the n point lines ``rows``. Each line's field count is
+    checked as it is split; the fields of a chunk of lines then convert
+    together with Python's ``float`` (labels with ``int``), so values equal
+    a line-by-line parse bit for bit. Raises ValueError for the first chunk
+    with a fault: its first line with the wrong count, else the value that
+    does not convert."""
+    expected = 3 + c + has_labels
+    values = np.empty((n, 3 + c))
+    labels = np.empty(n, dtype=np.int64) if has_labels else None
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        fields = []
+        for i in range(lo, hi):
+            parts = rows[i].split() if i < len(rows) else []
+            if len(parts) != expected:
+                raise ValueError(f"{path}: line {i + 2} has {len(parts)} fields, expected {expected}")
+            fields += parts
+        if has_labels:
+            chunk_labels = fields[expected - 1 :: expected]
+            del fields[expected - 1 :: expected]
+        values[lo:hi] = np.fromiter(map(float, fields), np.float64, len(fields)).reshape(-1, 3 + c)
+        if has_labels:
+            labels[lo:hi] = list(map(int, chunk_labels))
+    return values[:, :3].copy(), values[:, 3:].copy(), labels
+
+
 def read_cloud(path, num_classes: int | None = None) -> PointCloud:
     """Parse and validate one cloud file; with ``num_classes`` every label
     must lie in ``[0, num_classes)``. Raises ValueError naming the file."""
@@ -51,20 +81,11 @@ def read_cloud(path, num_classes: int | None = None) -> PointCloud:
         expected = 3 + c + has_labels
         if 2 * n * expected > os.fstat(fh.fileno()).st_size:  # a field takes >= 2 bytes: refuse before allocating
             raise ValueError(f"{path}: header claims {n} points of {expected} fields, more than the file holds")
-        positions = np.zeros((n, 3))
-        features = np.zeros((n, c))
-        labels = np.zeros(n, dtype=np.int64) if has_labels else None
-        for i in range(n):
-            parts = fh.readline().split()
-            if len(parts) != expected:
-                raise ValueError(f"{path}: line {i + 2} has {len(parts)} fields, expected {expected}")
-            positions[i] = [float(p) for p in parts[:3]]
-            if c:
-                features[i] = [float(p) for p in parts[3 : 3 + c]]
-            if has_labels:
-                labels[i] = int(parts[-1])
-        if fh.readline().strip():
-            raise ValueError(f"{path}: trailing data after {n} points")
+        # the n point lines, the line after them, and the unread rest
+        lines = fh.read().split("\n", n + 1)
+    positions, features, labels = _parse_body(path, lines[:n], n, c, has_labels)
+    if len(lines) > n and lines[n].strip():
+        raise ValueError(f"{path}: trailing data after {n} points")
     cloud = PointCloud(positions, features, labels)
     try:
         cloud.validate(num_classes)

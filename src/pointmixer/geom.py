@@ -6,11 +6,21 @@ symmetric up-sampling. Everything here is exact and tie-stable: distances
 tie-break by ascending point index, so identical inputs always produce
 bit-identical index structures.
 
+One squared-distance expression, ``_sq_dist``, serves the whole module:
+``(dx² + dz²) + dy²`` with in-place ufuncs on contiguous x, y and z
+columns. FPS picks, candidate re-ranks and dense blocks all compare values
+from it, so their orders agree bit for bit. The tests pin this order, not
+einsum's: numpy 2.4.6's ``einsum("ij,ij->i")`` happens to sum a row of three
+squares the same way (no mismatch over 200 000 rows), so there the results
+equal those of the earlier einsum-based code, but other numpy versions may
+order that reduction differently.
+
 Every neighbour search (``knn``, ``nearest`` and the hierarchy fallbacks)
-runs through one routine: a KD-tree proposes a few more candidates than
-asked for, their squared distances are recomputed exactly and re-ranked,
-and only rows that might hide a tie beyond the candidates fall back to a
-dense search in bounded row blocks. No full N x M distance matrix is built.
+runs through one routine, ``_search``: a KD-tree proposes k + 1
+candidates per row, their squared distances are recomputed exactly and
+re-ranked, rows that might hide a tie beyond the candidates ask again for
+k + 8, and only rows still unsure fall back to a dense search in bounded
+row blocks. No full N x M distance matrix is built.
 
 Every index map exposes one CSR edge list, ``map.edges`` (an ``Edges``),
 built here once per map; up-sampling adds the ``nearest_samples`` fallback
@@ -27,6 +37,7 @@ from scipy.spatial import cKDTree
 
 __all__ = [
     "COORD_LIMIT",
+    "as_positions",
     "check_coordinates",
     "PointCloud",
     "Edges",
@@ -60,6 +71,14 @@ COORD_LIMIT = 1e150
 def knn_call_count() -> int:
     """Total knn() invocations so far (instrumentation for decode audits)."""
     return _knn_calls
+
+
+def as_positions(p) -> np.ndarray:
+    """Positions as an array: float32 stays float32 (so float32 runs stay
+    float32), anything else becomes float64. Searches and sampling still
+    rank in float64."""
+    p = np.asarray(p)
+    return p if p.dtype == np.float32 else p.astype(np.float64, copy=False)
 
 
 def check_coordinates(positions: np.ndarray):
@@ -175,48 +194,95 @@ class InverseNeighborMap:
         return Edges(dst, self.indices, self.offsets)
 
 
-_SLACK = 8  # extra tree candidates per row beyond k
+_SLACK = 8  # extra tree candidates per row beyond k in the second tier
 _TIE_RTOL = 1e-12  # covers the tree's own rounding of a squared distance
 _BLOCK = 1 << 20  # entries per row block of the dense fallback
+
+
+def _columns(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Contiguous float64 x, y and z columns of an (N, 3) array."""
+    pos = np.asarray(points, dtype=np.float64)
+    return tuple(np.ascontiguousarray(pos[:, c]) for c in range(3))
+
+
+def _sq_dist(q, s, out=None, tmp=None) -> np.ndarray:
+    """Squared distances between ``q`` and ``s``, two (x, y, z) column triples
+    that broadcast against each other, summed as ``(dx² + dz²) + dy²``.
+
+    This is the one squared distance in this module: every search re-ranks
+    and every FPS pick compares values from it, so equal inputs give equal
+    bits everywhere. ``out`` and ``tmp`` are optional buffers of the
+    broadcast shape. Callers run it under ``np.errstate(over="ignore")``:
+    coordinates whose squares overflow give inf.
+    """
+    d = np.subtract(q[0], s[0], out=out)
+    d *= d
+    t = np.subtract(q[2], s[2], out=tmp)
+    t *= t
+    d += t
+    np.subtract(q[1], s[1], out=t)
+    t *= t
+    d += t
+    return d
 
 
 def _dense_blocks(queries: np.ndarray, sources: np.ndarray):
     """Yield (lo, hi, squared distances of queries[lo:hi] to every source),
     so the dense fallback holds O(_BLOCK) entries at a time."""
+    if not len(queries):
+        return
     step = max(1, _BLOCK // len(sources))
+    s = _columns(sources)
     for lo in range(0, len(queries), step):
         hi = min(lo + step, len(queries))
-        diff = queries[lo:hi, None, :] - sources[None, :, :]
-        yield lo, hi, np.einsum("ijk,ijk->ij", diff, diff)
+        q = [c[:, None] for c in _columns(queries[lo:hi])]
+        with np.errstate(over="ignore"):
+            block = _sq_dist(q, s)
+        yield lo, hi, block
 
 
 def _search(src: np.ndarray, qry: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices and squared distances of the k nearest sources per query, in
     (squared distance, index) order; bit-identical to a stable sort of the
     dense squared-distance rows. Inputs must be finite and ``k <= len(src)``.
+
+    The KD-tree proposes candidates in two tiers, k + 1 and then k + _SLACK
+    per row; their squared distances are recomputed exactly and re-ranked.
+    A row whose k-th distance comes within rounding of its last candidate's
+    may hide a tie beyond the candidates, so it goes on to the next tier, and
+    rows still unsure after the second take the dense search.
     """
     idx = np.empty((len(qry), k), dtype=np.int64)
     d2 = np.empty((len(qry), k))
-    width = k + _SLACK
-    if len(src) <= width:
-        dense = np.arange(len(qry))
-    else:
-        tree_d, cand = cKDTree(src).query(qry, k=width)
-        # the tree pads a row with index len(src) when distances overflow to inf
-        short = np.any(cand == len(src), axis=1)
-        cand[short] = 0
-        diff = qry[:, None, :] - src[cand]
-        cand_d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        order = np.lexsort((cand, cand_d2))[:, :k]
-        idx[:] = np.take_along_axis(cand, order, axis=1)
-        d2[:] = np.take_along_axis(cand_d2, order, axis=1)
-        # every other source lies at least about as far as the last candidate;
-        # a row whose k-th distance comes within rounding of it may miss a tie
-        dense = np.flatnonzero(short | (d2[:, -1] >= tree_d[:, -1] ** 2 * (1.0 - _TIE_RTOL)))
-    for lo, hi, block in _dense_blocks(qry[dense], src):
+    rows = np.arange(len(qry))
+    if len(src) > k + _SLACK:
+        tree = cKDTree(src)
+        s, q = _columns(src), _columns(qry)
+
+        def tier(rows: np.ndarray, width: int) -> np.ndarray:
+            """Fill ``rows`` of idx/d2 from ``width`` tree candidates; return
+            the rows that may still hide a tie beyond them."""
+            tree_d, cand = tree.query(qry[rows], k=width)
+            # the tree pads a row with index len(src) when distances overflow to inf
+            short = np.any(cand == len(src), axis=1)
+            cand[short] = 0
+            with np.errstate(over="ignore"):
+                cand_d2 = _sq_dist([c[rows, None] for c in q], [c[cand] for c in s])
+            order = np.lexsort((cand, cand_d2))[:, :k]
+            idx[rows] = np.take_along_axis(cand, order, axis=1)
+            top = np.take_along_axis(cand_d2, order, axis=1)
+            d2[rows] = top
+            # every other source lies at least about as far as the last
+            # candidate; a k-th distance within rounding of it may miss a tie
+            return rows[short | (top[:, -1] >= tree_d[:, -1] ** 2 * (1.0 - _TIE_RTOL))]
+
+        rows = tier(rows, k + 1)
+        if len(rows):
+            rows = tier(rows, k + _SLACK)
+    for lo, hi, block in _dense_blocks(qry[rows], src):
         order = np.argsort(block, axis=1, kind="stable")[:, :k]
-        idx[dense[lo:hi]] = order
-        d2[dense[lo:hi]] = np.take_along_axis(block, order, axis=1)
+        idx[rows[lo:hi]] = order
+        d2[rows[lo:hi]] = np.take_along_axis(block, order, axis=1)
     return idx, d2
 
 
@@ -315,22 +381,25 @@ def fps(points: PointCloud | np.ndarray, m: int, start: int = 0) -> np.ndarray:
     """Greedy max-min farthest point sampling.
 
     The first pick is ``start``; each next pick maximizes the minimum
-    distance to everything already selected, ties broken by ascending index.
+    squared distance (``_sq_dist``, in float64) to everything already
+    selected, ties broken by ascending index. Each pick updates the minima
+    column by column in two N-buffers allocated once per call.
     """
-    pos = points.positions if isinstance(points, PointCloud) else np.asarray(points, dtype=np.float64)
-    n = len(pos)
+    cols = _columns(points.positions if isinstance(points, PointCloud) else points)
+    n = len(cols[0])
     if not (1 <= m <= n):
         raise ValueError(f"m={m} out of range for {n} points")
     if not (0 <= start < n):
         raise ValueError(f"start={start} out of range")
     selected = np.empty(m, dtype=np.int64)
     selected[0] = start
-    mindist = np.einsum("ij,ij->i", pos - pos[start], pos - pos[start])
-    for i in range(1, m):
-        nxt = int(np.argmax(mindist))  # argmax returns the first (lowest-index) maximum
-        selected[i] = nxt
-        d = pos - pos[nxt]
-        np.minimum(mindist, np.einsum("ij,ij->i", d, d), out=mindist)
+    d, tmp = np.empty(n), np.empty(n)
+    with np.errstate(over="ignore"):
+        mindist = _sq_dist(cols, [c[start] for c in cols])
+        for i in range(1, m):
+            nxt = int(np.argmax(mindist))  # argmax returns the first (lowest-index) maximum
+            selected[i] = nxt
+            np.minimum(mindist, _sq_dist(cols, [c[nxt] for c in cols], d, tmp), out=mindist)
     return selected
 
 
@@ -393,9 +462,10 @@ def build_hierarchy(
     is below 1, the identity level is prepended automatically. Each level
     stores the forward map knn(previous points, sampled points, k) and its
     inverse, so the decoder never runs another neighbor search. ``k`` may be
-    a single count or one per level.
+    a single count or one per level. Sampling and searches rank in float64;
+    level positions keep the dtype of ``as_positions(points)``.
     """
-    pos = points.positions if isinstance(points, PointCloud) else np.asarray(points, dtype=np.float64)
+    pos = as_positions(points.positions if isinstance(points, PointCloud) else points)
     ratios = list(ratios)
     if not ratios:
         raise ValueError("at least one ratio required")
@@ -407,7 +477,7 @@ def build_hierarchy(
         raise ValueError("only the leading ratio may be 1.0 (levels must shrink)")
 
     hierarchy = Hierarchy()
-    prev_pos = pos
+    prev_pos = pos.astype(np.float64, copy=False)  # every level ranks in float64
     first_sampled = True
     for li, ratio in enumerate(ratios):
         kk = _level_k(k, li)
@@ -425,7 +495,8 @@ def build_hierarchy(
         down = knn(prev_pos, level_pos, kk)
         inv = invert_map(down)
         fallback = nearest_samples(inv, level_pos, prev_pos)
-        hierarchy.levels.append(HierarchyLevel(subset, level_pos, down, inv, fallback))
+        out_pos = level_pos.astype(pos.dtype, copy=False)  # exact: float32 in, float32 out
+        hierarchy.levels.append(HierarchyLevel(subset, out_pos, down, inv, fallback))
         prev_pos = level_pos
     return hierarchy
 

@@ -48,7 +48,7 @@ from .autodiff import (
     slice_last,
     transpose_last2,
 )
-from .geom import Edges, InverseNeighborMap, NeighborMap, nearest_samples, up_edges
+from .geom import Edges, InverseNeighborMap, NeighborMap, as_positions, nearest_samples, up_edges
 from .nn import LayerNorm, Linear, Mlp2, ParamStore, Rng
 
 __all__ = [
@@ -129,13 +129,6 @@ class PointMixerParams:
         return cls(g1, g2, g3, delta, width, pe)
 
 
-def _positions(p) -> np.ndarray:
-    """Positions as an array: float32 stays float32 (so float32 runs stay
-    float32), anything else becomes float64."""
-    p = np.asarray(p)
-    return p if p.dtype == np.float32 else p.astype(np.float64, copy=False)
-
-
 def _check_width(x: Tensor, width: int):
     if x.shape[-1] != width:
         raise ValueError(f"feature width {x.shape[-1]} does not match layer width {width}")
@@ -171,7 +164,7 @@ def _softmax_mix_edges(
 
 def intra_set_mix(x, positions, m: NeighborMap, params: PointMixerParams) -> Tensor:
     """Mix each query with its own k nearest neighbors (forward map)."""
-    pos = _positions(positions)
+    pos = as_positions(positions)
     return _softmax_mix_edges(as_tensor(x), pos, pos, m.edges, params)
 
 
@@ -182,14 +175,14 @@ def inter_set_mix(x, positions, inv: InverseNeighborMap, params: PointMixerParam
     can be empty: with more than k coincident copies of a point, some copies
     sit in no neighborhood. An empty row mixes nothing and gives a zero
     vector, so inside a residual block the point's features pass through."""
-    pos = _positions(positions)
+    pos = as_positions(positions)
     return _softmax_mix_edges(as_tensor(x), pos, pos, inv.edges, params)
 
 
 def hier_down_mix(x_o, pos_o, pos_s, m_os: NeighborMap, params: PointMixerParams) -> Tensor:
     """Pool original-level features into sampled queries via the forward
     cross-level map (queries are the sampled points)."""
-    return _softmax_mix_edges(as_tensor(x_o), _positions(pos_s), _positions(pos_o), m_os.edges, params)
+    return _softmax_mix_edges(as_tensor(x_o), as_positions(pos_s), as_positions(pos_o), m_os.edges, params)
 
 
 def hier_up_mix(
@@ -211,7 +204,7 @@ def hier_up_mix(
     ``HierarchyLevel.up_fallback``) so no search happens at decode time;
     without it ``geom.nearest_samples`` runs once per call.
     """
-    pos_s, pos_o = _positions(pos_s), _positions(pos_o)
+    pos_s, pos_o = as_positions(pos_s), as_positions(pos_o)
     if fallback is None:
         fallback = nearest_samples(inv_os, pos_s, pos_o)
     mixed = _softmax_mix_edges(as_tensor(x_s), pos_o, pos_s, up_edges(inv_os, fallback), params)
@@ -303,7 +296,7 @@ class TokenMlpParams:
 def _maxpool_mix(x, positions, index_map, v: MaxPoolParams) -> Tensor:
     x = as_tensor(x)
     _check_width(x, v.width)
-    pos = _positions(positions)
+    pos = as_positions(positions)
     e = index_map.edges
     h = v.mlp(concat_last([gather_rows(x, e.src), Tensor(pos[e.dst] - pos[e.src])]))
     if isinstance(index_map, NeighborMap):  # fixed K: a dense max over the neighbor axis
@@ -314,7 +307,7 @@ def _maxpool_mix(x, positions, index_map, v: MaxPoolParams) -> Tensor:
 def _attention_mix(x, positions, index_map, v: VectorAttentionParams) -> Tensor:
     x = as_tensor(x)
     _check_width(x, v.width)
-    pos = _positions(positions)
+    pos = as_positions(positions)
     e = index_map.edges
     pe = v.delta(pos[e.dst] - pos[e.src])
     logits = gather_rows(v.w1(x), e.dst) - gather_rows(v.w2(x), e.src) + pe
@@ -334,7 +327,7 @@ def _token_mlp_mix(x, positions, index_map, v: TokenMlpParams) -> Tensor:
     n, k = index_map.indices.shape
     xk = reshape(gather_rows(x, index_map.indices.ravel()), (n, k, v.width))
     if v.delta is not None:
-        pos = _positions(positions)
+        pos = as_positions(positions)
         rel = pos[:, None, :] - pos[index_map.indices]
         xk = xk + reshape(v.delta(rel.reshape(-1, 3)), (n, k, v.width))
     mixed = transpose_last2(v.token_mlp(transpose_last2(v.norm1(xk))))

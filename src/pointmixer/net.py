@@ -148,9 +148,11 @@ class Network:
     last_decode_knn_calls: int | None = None
 
     def prepare(self, positions: np.ndarray) -> Plan:
-        """Build every index structure a forward pass needs (encode side)."""
+        """Build every index structure a forward pass needs (encode side).
+        Float32 positions give float32 ``plan.positions``; anything else
+        float64 (``geom.as_positions``)."""
         cfg = self.config
-        pos = np.asarray(positions, dtype=np.float64)
+        pos = geom.as_positions(positions)
         n = len(pos)
         sizes = [n]
         for spec in cfg.levels[1:]:

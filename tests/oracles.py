@@ -56,6 +56,28 @@ def fps_indices(points, m, start):
     return np.array(selected)
 
 
+def fps_loop(points, m, start):
+    """Frozen copy of the vectorised FPS loop that rebuilt the full (N, 3)
+    difference per pick: the reference the buffered loop must reproduce index
+    for index. Each row of squares is summed as (dx² + dz²) + dy², written
+    out so that the reference does not depend on how a numpy version orders
+    an einsum reduction."""
+    pos = np.asarray(points, dtype=np.float64)
+
+    def sq(d):
+        return (d[:, 0] ** 2 + d[:, 2] ** 2) + d[:, 1] ** 2
+
+    selected = np.empty(m, dtype=np.int64)
+    selected[0] = start
+    with np.errstate(over="ignore"):
+        mindist = sq(pos - pos[start])
+        for i in range(1, m):
+            nxt = int(np.argmax(mindist))
+            selected[i] = nxt
+            np.minimum(mindist, sq(pos - pos[nxt]), out=mindist)
+    return selected
+
+
 def relative_positions(queries, sources, rows):
     out = np.zeros((len(rows), len(rows[0]), 3))
     for i, row in enumerate(rows):

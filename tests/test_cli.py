@@ -266,6 +266,54 @@ def test_eval_cloud_header_beyond_the_file_size_exits_3(tmp_path, capsys):
     assert out == ""
 
 
+def _short_middle_line(lines):
+    lines[10] = lines[10].rsplit(" ", 1)[0]
+    return "\n".join(lines) + "\n"
+
+
+def _truncated_last_line(lines):
+    lines[-1] = " ".join(lines[-1].split()[:2])
+    return "\n".join(lines)
+
+
+def _trailing_data(lines):
+    return "\n".join(lines + [lines[-1]]) + "\n"
+
+
+def _missing_point(lines):
+    return "\n".join(lines[:-1]) + "\n"
+
+
+def _non_numeric_field(lines):
+    lines[5] = "abc " + lines[5].split(" ", 1)[1]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_short_middle_line, "line 11 has {short} fields, expected {fields}"),
+    (_truncated_last_line, "line 49 has 2 fields, expected {fields}"),
+    (_trailing_data, "trailing data after 48 points"),
+    (_missing_point, "line 49 has 0 fields, expected {fields}"),
+    (_non_numeric_field, "could not convert string to float: 'abc'"),
+])
+def test_eval_malformed_cloud_body_exits_3_naming_the_fault(tmp_path, capsys, edit, message):
+    data_dir = tmp_path / "evalds"
+    run_cli(capsys, "gen", "--task", "cls", "--out", str(data_dir), "--clouds", "2",
+            "--test-clouds", "1", "--points", "48", "--seed", "3")
+    cfg_path = tiny_train_config(tmp_path, "evaltrain", **{"data.dir": str(data_dir)})
+    cloud_path = data_dir / "test" / "cloud_00000.pmc"
+    lines = cloud_path.read_text().splitlines()
+    fields = len(lines[1].split())
+    cloud_path.write_text(edit(lines))
+    # the body is read before the checkpoint, which therefore need not exist
+    code, out, err = run_cli(capsys, "eval", "--config", str(cfg_path),
+                             "--checkpoint", str(tmp_path / "none.pmix"), "--data", str(data_dir))
+    assert code == 3
+    assert message.format(short=fields - 1, fields=fields) in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def edit_first_point(cloud_path, column, value):
     """Replace one field of the first point's line of a .pmc file."""
     lines = cloud_path.read_text().splitlines()

@@ -104,6 +104,34 @@ def test_cloud_header_and_count_validation(tmp_path):
         cloudio.read_cloud(path)
 
 
+def test_cloud_fields_are_counted_per_line(tmp_path):
+    path = tmp_path / "shifted.pmc"
+    # right total of fields, wrong split between lines 2 and 3
+    path.write_text("pmcloud 3 1 1\n0 0 0 1.5\n1 1 1 2.5 1 0\n2 2 2 3.5 1\n")
+    with pytest.raises(ValueError, match="line 2 has 4 fields, expected 5"):
+        cloudio.read_cloud(path)
+    path.write_text("pmcloud 2 0 1\n0 0 0 1\n1 1 1 1.0\n")  # labels convert with int()
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        cloudio.read_cloud(path)
+
+
+def test_cloud_reader_is_exact_and_names_bad_lines_past_the_first_chunk(tmp_path):
+    rng = np.random.default_rng(2)
+    n = 3 * cloudio._CHUNK + 5
+    cloud = PointCloud(rng.normal(size=(n, 3)) * 1e-3, rng.normal(size=(n, 2)), rng.integers(0, 4, n))
+    path = tmp_path / "long.pmc"
+    cloudio.write_cloud(path, cloud)
+    back = cloudio.read_cloud(path)
+    for a, b in ((back.positions, cloud.positions), (back.features, cloud.features), (back.labels, cloud.labels)):
+        assert np.array_equal(a, b)
+    lines = path.read_text().splitlines()
+    lines[n - 1] += " 7"  # one field too many on the second to last point
+    lines[n] = lines[n].rsplit(" ", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"line {n} has 7 fields, expected 6"):
+        cloudio.read_cloud(path)
+
+
 def test_cloud_header_count_is_bounded_by_the_file_size(tmp_path):
     path = tmp_path / "huge.pmc"
     path.write_text("pmcloud 1000000000000 0 0\n0 0 0\n")

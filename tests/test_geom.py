@@ -82,13 +82,18 @@ def test_knn_deterministic_and_counted():
     assert geom.knn_call_count() == before + 2
 
 
+def dense_d2(src, qry):
+    """The full squared-distance matrix in the library's own expression."""
+    with np.errstate(over="ignore"):
+        return geom._sq_dist([c[:, None] for c in qry.T], list(src.T))
+
+
 def dense_knn(src, qry, k):
     """The brute-force search geom.knn must reproduce bit for bit: the full
     squared-distance matrix in the library's own expression, stably sorted.
     (oracles.knn_rows sums the squares in another order, so on non-integer
     coordinates the two may break last-bit near-ties differently.)"""
-    diff = qry[:, None, :] - src[None, :, :]
-    return np.argsort(np.einsum("ijk,ijk->ij", diff, diff), axis=1, kind="stable")[:, :k]
+    return np.argsort(dense_d2(src, qry), axis=1, kind="stable")[:, :k]
 
 
 def tie_heavy_cloud(kind, rng, n):
@@ -130,6 +135,106 @@ def test_knn_tie_heavy_inputs_match_bruteforce(kind, seed, dense_rows):
         assert 0 < sum(dense_rows) < 3 * len(qry)
 
 
+# rows the search sent to the dense fallback when every row asked the tree
+# for k + 8 candidates at once: (kind, seed) -> counts for k = 1, 9, 16
+SINGLE_TIER_DENSE_ROWS = {
+    ("grid", 0): [4, 62, 68], ("grid", 1): [5, 70, 59], ("grid", 2): [7, 53, 73],
+    ("rounded", 0): [0, 41, 29], ("rounded", 1): [3, 45, 19], ("rounded", 2): [3, 41, 28],
+    ("dup8", 0): [0, 0, 0], ("dup8", 1): [0, 0, 0], ("dup8", 2): [0, 0, 0],
+}
+
+
+@pytest.mark.parametrize("kind, seed", sorted(SINGLE_TIER_DENSE_ROWS))
+def test_two_tiers_send_no_more_rows_to_the_dense_search(kind, seed, dense_rows):
+    rng = np.random.default_rng(200 + seed)  # the inputs of the tie-heavy test above
+    src = tie_heavy_cloud(kind, rng, 480)
+    qry = np.concatenate([src[rng.permutation(480)[:150]], tie_heavy_cloud(kind, rng, 48)])
+    for k, bound in zip((1, 9, 16), SINGLE_TIER_DENSE_ROWS[kind, seed]):
+        dense_rows.clear()
+        geom.knn(src, qry, k)
+        assert sum(dense_rows) <= bound
+
+
+FAMILIES = ("grid", "rounded", "dup8", "collinear", "uniform")
+
+
+def family_cloud(kind, rng, n):
+    """Clouds with exact ties (grid, dup8), near-ties (rounded, collinear:
+    integer steps along a direction with inexact components) or neither."""
+    if kind == "grid":
+        return rng.integers(0, 7, (n, 3)).astype(float)
+    if kind == "rounded":
+        return np.round(rng.uniform(-0.4, 0.4, (n, 3)), 1)
+    if kind == "dup8":
+        base = random_cloud(rng, max(1, n // 8))
+        return np.repeat(base, 8, axis=0)[rng.permutation(8 * len(base))]
+    if kind == "collinear":
+        return np.outer(rng.integers(-40, 40, n), rng.normal(size=3))
+    return random_cloud(rng, n)
+
+
+def test_fps_matches_the_vectorised_loop_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for trial in range(400):
+        kind = FAMILIES[trial % len(FAMILIES)]
+        n = 20000 if trial % 100 == 99 else int(rng.integers(1, 400))
+        pts = family_cloud(kind, rng, n)
+        m = 200 if n == 20000 else int(rng.integers(1, len(pts) + 1))
+        start = int(rng.integers(0, len(pts)))
+        assert np.array_equal(geom.fps(pts, m, start), oracles.fps_loop(pts, m, start)), (trial, kind)
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_knn_and_nearest_match_the_dense_search_on_every_family(kind):
+    rng = np.random.default_rng(32)
+    for _ in range(6):
+        src = family_cloud(kind, rng, int(rng.integers(20, 700)))
+        qry = np.concatenate([src[rng.permutation(len(src))[:60]], family_cloud(kind, rng, 40)])
+        for k in (1, 2, 16):
+            for a, b in ((src, qry), (src, src)):
+                assert np.array_equal(geom.knn(a, b, k).indices, dense_knn(a, b, k))
+        for exclude_self, a, b in ((False, src, qry), (False, qry, src), (True, src, src)):
+            idx, d2 = geom.nearest(a, b, exclude_self=exclude_self)
+            want_idx, want_d2 = dense_nearest(a, b, exclude_self)
+            assert np.array_equal(idx, want_idx)
+            assert np.array_equal(d2, want_d2)
+
+
+@pytest.fixture
+def tree_queries(monkeypatch):
+    """Records (rows, k) of every KD-tree query the searches make."""
+    calls = []
+    tree_type = geom.cKDTree
+
+    class Spy:
+        def __init__(self, data):
+            self.tree = tree_type(data)
+
+        def query(self, x, k):
+            calls.append((len(x), k))
+            return self.tree.query(x, k=k)
+
+    monkeypatch.setattr(geom, "cKDTree", Spy)
+    return calls
+
+
+def test_lattice_rows_go_on_to_the_wide_tier(tree_queries):
+    grid = np.stack(np.meshgrid(*[np.arange(13.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    geom.knn(grid, grid, 16)
+    assert [k for _, k in tree_queries] == [17, 24]
+    assert tree_queries[0][0] == len(grid) and 0 < tree_queries[1][0] <= len(grid)
+    tree_queries.clear()
+    geom.nearest(grid, grid, exclude_self=True)
+    assert [k for _, k in tree_queries] == [3, 10]
+    assert tree_queries[0][0] == len(grid) and 0 < tree_queries[1][0] <= len(grid)
+
+
+def test_uniform_cloud_stops_at_k_plus_one(tree_queries):
+    pts = random_cloud(np.random.default_rng(33), 2048)
+    geom.knn(pts, pts, 16)
+    assert tree_queries == [(len(pts), 17)]
+
+
 def test_knn_memory_stays_linear_at_scan_size():
     pts = random_cloud(np.random.default_rng(4), 16384)
     tracemalloc.start()
@@ -144,8 +249,7 @@ def test_knn_memory_stays_linear_at_scan_size():
 
 
 def dense_nearest(src, qry, exclude_self=False):
-    diff = qry[:, None, :] - src[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    d2 = dense_d2(src, qry)
     if exclude_self:
         np.fill_diagonal(d2, np.inf)
     return np.argmin(d2, axis=1), d2.min(axis=1)

@@ -356,3 +356,27 @@ def test_training_steps_on_one_plan_hold_one_graph_at_a_time():
         assert peaks[1] == peaks[0]
     finally:
         autodiff.enable_alloc_tracking(False)
+
+
+def test_float32_positions_stay_float32_through_prepare_and_forward_dense():
+    rng = np.random.default_rng(17)
+    pos32 = rng.uniform(-1, 1, (256, 3)).astype(np.float32)
+    cfg = net.NetworkConfig(levels=net.default_levels(), head=net.DenseHead(4), k=16)
+    network = net.build_network(cfg, nn.Rng(0))
+    plan = network.prepare(pos32)
+    assert [p.dtype for p in plan.positions] == [np.float32] * 4
+    # ranking runs in float64 either way: the same subsets and maps as the
+    # float64 copy of these positions, and positions equal value for value
+    plan64 = network.prepare(pos32.astype(np.float64))
+    assert [p.dtype for p in plan64.positions] == [np.float64] * 4
+    for a, b in zip(plan.levels, plan64.levels):
+        assert np.array_equal(a.subset, b.subset)
+        assert np.array_equal(a.down_map.indices, b.down_map.indices)
+        assert np.array_equal(a.up_fallback, b.up_fallback)
+        assert np.array_equal(a.positions, b.positions)
+    for a, b in zip(plan.sl_maps, plan64.sl_maps):
+        assert np.array_equal(a.indices, b.indices)
+    for _, t in network.store.tensors():
+        t.data = t.data.astype(np.float32)
+    assert net.forward_dense(network, pos32).data.dtype == np.float32
+    assert net.forward_dense(network, pos32, plan).data.dtype == np.float32
