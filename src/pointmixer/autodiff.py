@@ -12,12 +12,24 @@ graph raises ``RuntimeError``.
 
 Float64 is the default dtype (correctness runs); float32 inputs are carried
 through unchanged for benchmark runs.
+
+``edge_scores`` spreads its edge blocks over a private pool of worker
+threads, one per CPU in the process's affinity set, each pinned to its own
+CPU; the pool starts on the first call with two or more blocks. With one
+allowed CPU, or where the platform cannot pin threads, every block runs in
+the calling thread. ``taskset`` is the control: ``taskset -c 0 ...`` keeps
+the kernel on one CPU. Workers run numpy on disjoint slices only; every sum
+across blocks is added by the caller in block order, so results are
+bit-identical whatever the number of CPUs.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import os
+import queue
+import threading
 import weakref
 
 import numpy as np
@@ -542,6 +554,105 @@ def csr_weighted_sum(weights, values, src, offsets) -> Tensor:
     return _make(a @ v.data, (w, v), bwd, "csr_weighted_sum")
 
 
+# -- edge-block workers ---------------------------------------------------
+
+
+def _start_worker(cpu: int) -> queue.SimpleQueue:
+    """A daemon thread pinned to ``cpu``, and the queue it takes tasks from;
+    while idle it blocks on the queue and never spins."""
+    tasks = queue.SimpleQueue()
+    threading.Thread(target=_block_worker, args=(cpu, tasks), name=f"pointmixer-blocks-cpu{cpu}", daemon=True).start()
+    return tasks
+
+
+def _block_worker(cpu: int, tasks: queue.SimpleQueue):
+    try:
+        os.sched_setaffinity(0, {cpu})  # pid 0: this thread only
+    except OSError:
+        pass  # the CPU left the affinity set since the pool was sized: run unpinned
+    while True:
+        run, scratch = tasks.get()
+        run(scratch)
+        del run, scratch  # an idle worker holds nothing of the last call
+
+
+_workers: list | None = None  # task queues of the block workers, once started
+_workers_lock = threading.Lock()
+
+
+def _block_queues() -> list:
+    """The task queues of the block workers, one per CPU the process may
+    use, started on first use; empty where only one CPU is allowed or
+    threads cannot be pinned."""
+    global _workers
+    with _workers_lock:
+        if _workers is None:
+            pinnable = hasattr(os, "sched_getaffinity") and hasattr(os, "sched_setaffinity")
+            cpus = sorted(os.sched_getaffinity(0)) if pinnable else []
+            _workers = [_start_worker(cpu) for cpu in cpus] if len(cpus) > 1 else []
+        return _workers
+
+
+def _drop_workers():
+    """After a fork: the child has none of the parent's worker threads, so
+    it starts its own on first use."""
+    global _workers, _workers_lock
+    _workers, _workers_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_workers)
+
+
+def _run_blocks(n_blocks: int, make_scratch, body):
+    """Call ``body(i, scratch)`` once for every block ``i < n_blocks``, on
+    the block workers when there are two or more blocks and CPUs, else
+    inline. Each worker, never more than there are blocks, takes blocks
+    from a shared queue and gets its own scratch from ``make_scratch()``
+    (a tuple of arrays and ``None``s), accounted here for its lifetime. The
+    body may touch only numpy and private helpers, and must write each
+    block's results to slices or slots of its own. The caller waits for
+    blocks, not for workers: waking a worker on an idle CPU can take
+    milliseconds in a virtual machine, and one that wakes after the others
+    took every block returns at once. The first exception a block raised
+    re-raises here once every block is done."""
+    workers = _block_queues()[:n_blocks] if n_blocks > 1 else []
+    scratch = [make_scratch() for _ in range(max(1, len(workers)))]
+    nbytes = sum(b.nbytes for bufs in scratch for b in bufs if b is not None)
+    if _alloc.enabled:
+        _alloc.add(nbytes)
+    try:
+        if len(workers) < 2:
+            for i in range(n_blocks):
+                body(i, scratch[0])
+            return
+        todo, done = queue.SimpleQueue(), queue.SimpleQueue()
+        for i in range(n_blocks):
+            todo.put(i)
+
+        def run(bufs):
+            while True:
+                try:
+                    i = todo.get_nowait()
+                except queue.Empty:
+                    return
+                try:
+                    body(i, bufs)
+                except BaseException as e:  # handed to the caller, which re-raises it
+                    done.put(e)
+                else:
+                    done.put(None)
+
+        for tasks, bufs in zip(workers, scratch):
+            tasks.put((run, bufs))
+        errors = [e for e in [done.get() for _ in range(n_blocks)] if e is not None]
+        if errors:
+            raise errors[0]
+    finally:
+        if _alloc.enabled:
+            _alloc.sub(nbytes)
+
+
 # -- nonlinearities & normalization ---------------------------------------
 
 
@@ -612,13 +723,19 @@ def edge_scores(hidden, src, rel, W1, b1, W_fold, w2, b2) -> Tensor:
     per-edge input, ``W1`` (P, d), ``b1`` (P,), ``W_fold`` (H, P), ``w2``
     (1, H) and ``b2`` (1,); the result has shape (E,). The edges run in
     contiguous blocks of about ``_EDGE_BLOCK_FLOATS / max(P, H)`` rows, so
-    each block's hidden layers stay in cache. On the tape the op keeps
-    ``Phi(W1 rel + b1)`` of the first hidden layer and the GELU output and
-    derivative of the second, E (P + 2H) values, nothing else. Its backward
-    walks the same blocks, rebuilds the first layer's pre-activation, GELU
-    output and derivative from ``rel`` and the kept Phi (a d-wide product,
-    no erf), and sums ``hidden``'s per-edge gradient back per source row
-    with one sparse transpose product."""
+    each block's hidden layers stay in cache. With two or more blocks, the
+    blocks spread over one pinned worker thread per CPU the process may use
+    (``taskset`` limits them; see the module docstring). Each block writes
+    its own rows of the output and of what the tape keeps, and the backward
+    returns each block's partial weight gradients, which the caller adds in
+    block order from zeros: every output and gradient is bit-identical to a
+    serial pass. On the tape the op keeps ``Phi(W1 rel + b1)`` of the first
+    hidden layer and the GELU output and derivative of the second, E (P +
+    2H) values, nothing else. Its backward walks the same blocks, rebuilds
+    the first layer's pre-activation, GELU output and derivative from
+    ``rel`` and the kept Phi (a d-wide product, no erf), and sums
+    ``hidden``'s per-edge gradient back per source row with one sparse
+    transpose product."""
     h, W1, b1, wf, w2, b2 = (as_tensor(t) for t in (hidden, W1, b1, W_fold, w2, b2))
     col = np.asarray(src, dtype=np.int64)
     rel = np.asarray(rel)
@@ -637,48 +754,65 @@ def edge_scores(hidden, src, rel, W1, b1, W_fold, w2, b2) -> Tensor:
     if save:
         cdf1 = np.empty((n_edges, pe), dtype)
         z2, d2 = np.empty((n_edges, width), dtype), np.empty((n_edges, width), dtype)
-    # per-block scratch, reused by every block: fresh buffers cost page faults
-    a1 = np.empty((rows, pe), dtype)
-    c1 = None if save else np.empty((rows, pe), dtype)
-    a2, c2, hj = np.empty((rows, width), dtype), np.empty((rows, width), dtype), np.empty((rows, width), dtype)
     h_data = h.data.astype(dtype, copy=False)
-    scratch = sum(b.nbytes for b in (a1, c1, a2, c2, hj) if b is not None)
-    if _alloc.enabled:
-        _alloc.add(scratch)
     out = np.empty(n_edges, dtype)
-    for blk in blocks:
+
+    def forward_scratch():
+        # per-worker scratch, reused by every block it takes (fresh buffers
+        # cost page faults): the second layer, and one flat buffer for the
+        # first layer that then holds the gathered rows and Phi of the second
+        # (plus one for Phi of the first when nothing keeps it)
+        flat = rows * max(pe, width)
+        return np.empty((rows, width), dtype), np.empty(flat, dtype), None if save else np.empty(flat, dtype)
+
+    def forward_block(i, scratch):
+        a2, t, c1 = scratch
+        blk = blocks[i]
         m = blk.stop - blk.start
-        a = np.matmul(rel[blk], W1.data.T, out=a1[:m])
+        a = np.matmul(rel[blk], W1.data.T, out=t[:m * pe].reshape(m, pe))
         a += b1.data
-        z, _ = _gelu_parts(a, False, a, None, cdf1[blk] if save else c1[:m])
-        a = np.matmul(z, wf.data.T, out=a2[:m])
-        a += np.take(h_data, col[blk], axis=0, out=hj[:m])
-        z, _ = _gelu_parts(a, save, *((z2[blk], d2[blk]) if save else (a, None)), c2[:m])
+        z, _ = _gelu_parts(a, False, a, None, cdf1[blk] if save else c1[:m * pe].reshape(m, pe))
+        a = np.matmul(z, wf.data.T, out=a2[:m])  # z is spent
+        t = t[:m * width].reshape(m, width)
+        a += np.take(h_data, col[blk], axis=0, out=t, mode="clip")  # checked above; "raise" would buffer
+        z, _ = _gelu_parts(a, save, *((z2[blk], d2[blk]) if save else (a, None)), t)
         np.matmul(z, w2.data[0], out=out[blk])
+
+    _run_blocks(len(blocks), forward_scratch, forward_block)
     out += b2.data
-    if _alloc.enabled:
-        _alloc.sub(scratch)
 
     def bwd(g):
         g_hidden = np.empty((n_edges, width), dtype)
-        buf, d1 = np.empty((rows, pe), dtype), np.empty((rows, pe), dtype)
-        g_W1, g_b1 = np.zeros((pe, rel.shape[1]), dtype), np.zeros(pe, dtype)
-        g_wf, g_w2 = np.zeros((width, pe), dtype), np.zeros(width, dtype)
-        for blk in blocks:
+        parts = [None] * len(blocks)  # per block: its terms of g_w2, g_wf, g_W1, g_b1
+
+        def backward_scratch():
+            return np.empty((rows, pe), dtype), np.empty((rows, pe), dtype)
+
+        def backward_block(i, scratch):
+            buf, d1 = scratch
+            blk = blocks[i]
             m = blk.stop - blk.start
             # the first hidden layer again, bit for bit as the forward built it
             a = np.matmul(rel[blk], W1.data.T, out=buf[:m])
             a += b1.data
             d = _gelu_slope(a, cdf1[blk], d1[:m])
             z = np.multiply(a, cdf1[blk], out=a)
-            g_w2 += g[blk] @ z2[blk]
+            p_w2 = g[blk] @ z2[blk]
             ga = np.multiply(g[blk, None], w2.data, out=g_hidden[blk])
             ga *= d2[blk]
-            g_wf += ga.T @ z
+            p_wf = ga.T @ z
             ga = np.matmul(ga, wf.data, out=buf[:m])  # z is spent
             ga *= d
-            g_W1 += ga.T @ rel[blk]
-            g_b1 += ga.sum(axis=0)
+            parts[i] = (p_w2, p_wf, ga.T @ rel[blk], ga.sum(axis=0))
+
+        _run_blocks(len(blocks), backward_scratch, backward_block)
+        g_w2, g_wf = np.zeros(width, dtype), np.zeros((width, pe), dtype)
+        g_W1, g_b1 = np.zeros((pe, rel.shape[1]), dtype), np.zeros(pe, dtype)
+        for p_w2, p_wf, p_W1, p_b1 in parts:  # block order, as one serial pass adds them
+            g_w2 += p_w2
+            g_wf += p_wf
+            g_W1 += p_W1
+            g_b1 += p_b1
         if h.requires_grad:
             _accumulate_gathered(h, col, g_hidden)
         W1._accumulate(g_W1)

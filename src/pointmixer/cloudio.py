@@ -39,15 +39,17 @@ def write_cloud(path, cloud: PointCloud):
 
 
 _CHUNK = 256  # point lines converted at a time, which bounds the temporary strings
+_INT64 = np.iinfo(np.int64)
 
 
 def _parse_body(path, rows: list[str], n: int, c: int, has_labels: int):
     """Arrays from the n point lines ``rows``. Each line's field count is
     checked as it is split; the fields of a chunk of lines then convert
     together with Python's ``float`` (labels with ``int``), so values equal
-    a line-by-line parse bit for bit. Raises ValueError for the first chunk
-    with a fault: its first line with the wrong count, else the value that
-    does not convert."""
+    a line-by-line parse bit for bit. Raises ValueError naming the file and
+    the line for the first chunk with a fault: its first line with the wrong
+    count, else its first line with a value that does not convert or a
+    label outside int64."""
     expected = 3 + c + has_labels
     values = np.empty((n, 3 + c))
     labels = np.empty(n, dtype=np.int64) if has_labels else None
@@ -62,10 +64,28 @@ def _parse_body(path, rows: list[str], n: int, c: int, has_labels: int):
         if has_labels:
             chunk_labels = fields[expected - 1 :: expected]
             del fields[expected - 1 :: expected]
-        values[lo:hi] = np.fromiter(map(float, fields), np.float64, len(fields)).reshape(-1, 3 + c)
-        if has_labels:
-            labels[lo:hi] = list(map(int, chunk_labels))
+        try:
+            values[lo:hi] = np.fromiter(map(float, fields), np.float64, len(fields)).reshape(-1, 3 + c)
+            if has_labels:
+                labels[lo:hi] = list(map(int, chunk_labels))
+        except (ValueError, OverflowError):
+            raise _conversion_fault(path, rows, lo, hi, has_labels) from None
     return values[:, :3].copy(), values[:, 3:].copy(), labels
+
+
+def _conversion_fault(path, rows: list[str], lo: int, hi: int, has_labels: int) -> ValueError:
+    """The error for the first of the lines ``lo:hi`` (whose field counts
+    are right) with a value that does not convert."""
+    for i in range(lo, hi):
+        parts = rows[i].split()
+        try:
+            for field in parts[: len(parts) - has_labels]:
+                float(field)
+            if has_labels and not _INT64.min <= int(parts[-1]) <= _INT64.max:
+                return ValueError(f"{path}: line {i + 2}: label {parts[-1]} does not fit in int64")
+        except ValueError as e:
+            return ValueError(f"{path}: line {i + 2}: {e}")
+    return ValueError(f"{path}: lines {lo + 2} to {hi + 1} do not convert")
 
 
 def read_cloud(path, num_classes: int | None = None) -> PointCloud:
@@ -84,7 +104,7 @@ def read_cloud(path, num_classes: int | None = None) -> PointCloud:
         # the n point lines, the line after them, and the unread rest
         lines = fh.read().split("\n", n + 1)
     positions, features, labels = _parse_body(path, lines[:n], n, c, has_labels)
-    if len(lines) > n and lines[n].strip():
+    if any(rest.strip() for rest in lines[n:]):  # blank lines and spaces may follow, nothing else
         raise ValueError(f"{path}: trailing data after {n} points")
     cloud = PointCloud(positions, features, labels)
     try:

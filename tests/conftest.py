@@ -1,9 +1,11 @@
 """Test-session set-up.
 
-The library is single-threaded Python over small numpy arrays. A
-multi-threaded BLAS adds nothing to its speed, and on a busy machine its
-spinning worker threads compete with the test process for the same cores:
-a short training run took twice as long next to one other busy process.
+The library is Python over small numpy arrays; only ``edge_scores``
+spreads its blocks over threads of its own, one pinned per CPU, which block
+on a queue while idle. A multi-threaded BLAS adds nothing to its speed, and
+on a busy machine its spinning worker threads compete with the test process
+for the same cores: a short training run took twice as long next to one
+other busy process.
 So the suite asks for one BLAS thread, unless the environment already says
 otherwise. This must run before numpy is first imported.
 """

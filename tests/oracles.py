@@ -5,7 +5,10 @@ touching the library's code paths: explicit per-query loops, python sorts
 with written-out tie keys, and plain numpy arithmetic.
 """
 
+import math
+
 import numpy as np
+from scipy import sparse
 from scipy.special import erf
 
 
@@ -76,6 +79,79 @@ def fps_loop(points, m, start):
             selected[i] = nxt
             np.minimum(mindist, sq(pos - pos[nxt]), out=mindist)
     return selected
+
+
+def edge_scores_serial(hidden, src, rel, W1, b1, W_fold, w2, b2, g=None, block_floats=1 << 16):
+    """Frozen copy of the one-thread ``autodiff.edge_scores`` on plain arrays,
+    blocks walked in order with running ``+=`` sums: the reference its
+    block workers must reproduce bit for bit. Returns the scores and, when
+    ``g`` (the scores' gradient) is given, the gradients of (hidden, W1,
+    b1, W_fold, w2, b2) as fresh leaves would hold them."""
+    col = np.asarray(src, dtype=np.int64)
+    n_edges, width = len(col), hidden.shape[-1]
+    pe = W1.shape[0]
+    dtype = np.result_type(hidden, rel, W1, b1, W_fold, w2, b2)
+    rows = max(1, min(n_edges, block_floats // max(pe, width)))
+    blocks = [slice(s, min(s + rows, n_edges)) for s in range(0, n_edges, rows)]
+    inv_sqrt2, inv_sqrt2pi = 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0 * math.pi)
+
+    def slope(x, cdf, out):
+        d = np.multiply(x, x, out=out)
+        d *= -0.5
+        np.exp(d, out=d)
+        d *= inv_sqrt2pi
+        d *= x
+        d += cdf
+        return d
+
+    def gelu(x, with_slope, out, slope_out, cdf_out):
+        cdf = np.multiply(x, inv_sqrt2, out=cdf_out)
+        erf(cdf, out=cdf)
+        cdf += 1.0
+        cdf *= 0.5
+        d = slope(x, cdf, slope_out) if with_slope else None
+        return np.multiply(x, cdf, out=out), d
+
+    cdf1 = np.empty((n_edges, pe), dtype)
+    z2, d2 = np.empty((n_edges, width), dtype), np.empty((n_edges, width), dtype)
+    a1 = np.empty((rows, pe), dtype)
+    a2, c2, hj = np.empty((rows, width), dtype), np.empty((rows, width), dtype), np.empty((rows, width), dtype)
+    h_data = hidden.astype(dtype, copy=False)
+    out = np.empty(n_edges, dtype)
+    for blk in blocks:
+        m = blk.stop - blk.start
+        a = np.matmul(rel[blk], W1.T, out=a1[:m])
+        a += b1
+        z, _ = gelu(a, False, a, None, cdf1[blk])
+        a = np.matmul(z, W_fold.T, out=a2[:m])
+        a += np.take(h_data, col[blk], axis=0, out=hj[:m])
+        z, _ = gelu(a, True, z2[blk], d2[blk], c2[:m])
+        np.matmul(z, w2[0], out=out[blk])
+    out += b2
+    if g is None:
+        return out
+    g_hidden = np.empty((n_edges, width), dtype)
+    buf, d1 = np.empty((rows, pe), dtype), np.empty((rows, pe), dtype)
+    g_W1, g_b1 = np.zeros((pe, rel.shape[1]), dtype), np.zeros(pe, dtype)
+    g_wf, g_w2 = np.zeros((width, pe), dtype), np.zeros(width, dtype)
+    for blk in blocks:
+        m = blk.stop - blk.start
+        a = np.matmul(rel[blk], W1.T, out=buf[:m])
+        a += b1
+        d = slope(a, cdf1[blk], d1[:m])
+        z = np.multiply(a, cdf1[blk], out=a)
+        g_w2 += g[blk] @ z2[blk]
+        ga = np.multiply(g[blk, None], w2, out=g_hidden[blk])
+        ga *= d2[blk]
+        g_wf += ga.T @ z
+        ga = np.matmul(ga, W_fold, out=buf[:m])
+        ga *= d
+        g_W1 += ga.T @ rel[blk]
+        g_b1 += ga.sum(axis=0)
+    sel = sparse.csr_array((np.ones(n_edges, dtype=dtype), col, np.arange(n_edges + 1)),
+                           shape=(n_edges, hidden.shape[0]))
+    g_h = (sel.T @ g_hidden).astype(hidden.dtype, copy=False)
+    return out, [g_h, g_W1, g_b1, g_wf, g_w2[None, :], g.sum(keepdims=True)]
 
 
 def relative_positions(queries, sources, rows):

@@ -314,6 +314,29 @@ def test_eval_malformed_cloud_body_exits_3_naming_the_fault(tmp_path, capsys, ed
     assert out == ""
 
 
+@pytest.mark.parametrize("column, value, fault", [
+    (4, "1.5e", "could not convert string to float: '1.5e'"),
+    (-1, "99999999999999999999", "label 99999999999999999999 does not fit in int64"),
+])
+def test_eval_unconvertible_field_exits_3_naming_the_file_and_line(tmp_path, capsys, column, value, fault):
+    data_dir = tmp_path / "evalds"
+    run_cli(capsys, "gen", "--task", "cls", "--out", str(data_dir), "--clouds", "2",
+            "--test-clouds", "1", "--points", "48", "--seed", "3")
+    cfg_path = tiny_train_config(tmp_path, "evaltrain", **{"data.dir": str(data_dir)})
+    cloud_path = data_dir / "test" / "cloud_00000.pmc"
+    lines = cloud_path.read_text().splitlines()
+    fields = lines[6].split()
+    fields[column] = value
+    lines[6] = " ".join(fields)
+    cloud_path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "eval", "--config", str(cfg_path),
+                             "--checkpoint", str(tmp_path / "none.pmix"), "--data", str(data_dir))
+    assert code == 3
+    assert f"{cloud_path}: line 7: {fault}" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def edit_first_point(cloud_path, column, value):
     """Replace one field of the first point's line of a .pmc file."""
     lines = cloud_path.read_text().splitlines()

@@ -104,6 +104,22 @@ def test_cloud_header_and_count_validation(tmp_path):
         cloudio.read_cloud(path)
 
 
+def test_cloud_rejects_text_after_blank_lines_past_the_points(tmp_path):
+    path = tmp_path / "tail.pmc"
+    path.write_text("pmcloud 2 0 0\n0 0 0\n1 1 1\n\nextra\n")
+    with pytest.raises(ValueError, match="trailing data after 2 points"):
+        cloudio.read_cloud(path)
+    path.write_text("pmcloud 2 0 0\n0 0 0\n1 1 1\n \n\t\n")  # blank lines and spaces still read
+    assert cloudio.read_cloud(path).n == 2
+
+
+def test_cloud_with_a_trailing_newline_reads(tmp_path):
+    path = tmp_path / "newline.pmc"
+    path.write_text("pmcloud 2 0 1\n0 0 0 1\n1 1 1 0\n")
+    cloud = cloudio.read_cloud(path)
+    assert cloud.positions.tolist() == [[0, 0, 0], [1, 1, 1]] and cloud.labels.tolist() == [1, 0]
+
+
 def test_cloud_fields_are_counted_per_line(tmp_path):
     path = tmp_path / "shifted.pmc"
     # right total of fields, wrong split between lines 2 and 3

@@ -1,6 +1,15 @@
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+import warnings
+
 import numpy as np
 import pytest
 
+import pointmixer
 from pointmixer import autodiff, nn
 from pointmixer.autodiff import Tensor
 
@@ -775,3 +784,214 @@ def test_edge_scores_vs_finite_differences(seed, monkeypatch):
         return autodiff.reduce_sum(autodiff.edge_scores(tensors[0], src, rel, *tensors[1:]) * u)
 
     assert nn.check_gradient(f, tensors) < 1e-6
+
+
+# -- edge blocks on the block workers ---------------------------------------------
+
+
+def serial_scores_and_grads(src, rel, tensors, g, block_floats):
+    return oracles.edge_scores_serial(tensors[0].data, src, rel, *(t.data for t in tensors[1:]), g=g,
+                                      block_floats=block_floats)
+
+
+def library_scores_and_grads(src, rel, tensors, g):
+    for t in tensors:
+        t.grad = None
+    out = autodiff.edge_scores(tensors[0], src, rel, *tensors[1:])
+    out.backward(g)
+    return out.data, [t.grad for t in tensors]
+
+
+def assert_same_bits(got, want):
+    assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0])
+    for name, g, g_ref in zip(("hidden", "W1", "b1", "W_fold", "w2", "b2"), got[1], want[1]):
+        assert g.dtype == g_ref.dtype and np.array_equal(g, g_ref), name
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("edges, rows", [
+    (40, 64),   # one block
+    (40, 20),   # two full blocks
+    (40, 14),   # three blocks, the last short
+    (200, 7),   # 29 blocks
+    (41, 8),    # six blocks, the last of one row
+])
+def test_edge_scores_are_bit_identical_to_the_serial_loop(monkeypatch, dtype, edges, rows):
+    rng = np.random.default_rng(170 + edges + rows)
+    src, rel, tensors = edge_case(rng, n=9, edges=edges, pe=6, width=4, dtype=dtype)
+    g = rng.normal(size=edges).astype(dtype)
+    monkeypatch.setattr(autodiff, "_EDGE_BLOCK_FLOATS", rows * 6)
+    want = serial_scores_and_grads(src, rel, tensors, g, rows * 6)
+    assert_same_bits(library_scores_and_grads(src, rel, tensors, g), want)
+    with autodiff.no_grad():
+        out = autodiff.edge_scores(tensors[0], src, rel, *tensors[1:])
+    assert out.dtype == want[0].dtype and np.array_equal(out.data, want[0])
+
+
+def many_block_case(seed=180):
+    """Default block size, 13 blocks of 2048 edges (one of them short) at
+    the widths of the first encoder level."""
+    rng = np.random.default_rng(seed)
+    src, rel, tensors = edge_case(rng, n=2048, edges=12 * 2048 + 500, pe=32, width=32)
+    return src, rel, tensors, rng.normal(size=len(src))
+
+
+def test_edge_scores_are_bit_identical_to_the_serial_loop_at_the_default_block_size():
+    src, rel, tensors, g = many_block_case()
+    want = serial_scores_and_grads(src, rel, tensors, g, autodiff._EDGE_BLOCK_FLOATS)
+    assert_same_bits(library_scores_and_grads(src, rel, tensors, g), want)
+
+
+def test_edge_scores_on_one_cpu_give_the_same_bits(tmp_path):
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("the platform cannot limit a process to one CPU")
+    src, rel, tensors, g = many_block_case()
+    here = library_scores_and_grads(src, rel, tensors, g)
+    cpu = min(os.sched_getaffinity(0))
+    dump = tmp_path / "one_cpu.npz"
+    script = f"""
+import os, threading
+os.sched_setaffinity(0, {{{cpu}}})
+import numpy as np
+import test_nn
+from pointmixer import autodiff
+src, rel, tensors, g = test_nn.many_block_case()
+out, grads = test_nn.library_scores_and_grads(src, rel, tensors, g)
+assert autodiff._workers == [] and threading.active_count() == 1, "a worker thread started"
+np.savez({str(dump)!r}, out, *grads)
+"""
+    paths = [os.path.dirname(os.path.dirname(pointmixer.__file__)), os.path.dirname(__file__)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    with np.load(dump) as there:
+        assert_same_bits((there["arr_0"], [there[f"arr_{i}"] for i in range(1, 7)]), here)
+
+
+def test_edge_scores_spread_blocks_over_one_pinned_worker_per_cpu(monkeypatch):
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+    if len(cpus) < 2:
+        pytest.skip("needs two CPUs")
+    seen = {}
+    real = autodiff._gelu_parts
+
+    def spy(*args):
+        seen.setdefault(threading.get_ident(), set()).add(frozenset(os.sched_getaffinity(0)))
+        return real(*args)
+
+    monkeypatch.setattr(autodiff, "_gelu_parts", spy)
+    src, rel, tensors, _ = many_block_case()
+    with autodiff.no_grad():
+        autodiff.edge_scores(tensors[0], src, rel, *tensors[1:])
+    assert threading.get_ident() not in seen
+    assert 1 <= len(seen) <= len(cpus)
+    assert all(len(masks) == 1 for masks in seen.values())  # pinned before its first block
+    pinned = [next(iter(masks)) for masks in seen.values()]
+    assert all(len(m) == 1 and m <= cpus for m in pinned)
+    assert len(set(pinned)) == len(pinned)  # each worker on a CPU of its own
+
+    seen.clear()
+    monkeypatch.setattr(autodiff, "_EDGE_BLOCK_FLOATS", len(src) // 2 * 32)  # two blocks
+    with autodiff.no_grad():
+        autodiff.edge_scores(tensors[0], src[:-1], rel[:-1], *tensors[1:])
+    assert 1 <= len(seen) <= 2  # never more workers than blocks
+
+    seen.clear()
+    monkeypatch.setattr(autodiff, "_EDGE_BLOCK_FLOATS", 1 << 30)  # one block runs inline
+    with autodiff.no_grad():
+        autodiff.edge_scores(tensors[0], src, rel, *tensors[1:])
+    assert list(seen) == [threading.get_ident()]
+
+
+def test_edge_scores_wait_for_blocks_not_for_a_busy_worker():
+    workers = autodiff._block_queues()
+    if len(workers) < 2:
+        pytest.skip("needs two CPUs")
+    release = threading.Event()
+    workers[-1].put((lambda _: release.wait(60), None))  # one worker is held up (a slow or sleeping CPU)
+    try:
+        src, rel, tensors, g = many_block_case()
+        want = serial_scores_and_grads(src, rel, tensors, g, autodiff._EDGE_BLOCK_FLOATS)
+        t0 = time.monotonic()
+        got = library_scores_and_grads(src, rel, tensors, g)
+        assert time.monotonic() - t0 < 30  # the other workers took every block
+    finally:
+        release.set()
+    assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("helper", ["_gelu_parts", "_gelu_slope"])  # the forward's, then the backward's
+def test_edge_scores_reraise_an_exception_raised_in_a_block(monkeypatch, helper):
+    src, rel, tensors, g = many_block_case()
+    threads = []
+
+    def failing(*args):
+        threads.append(threading.current_thread())
+        raise ArithmeticError("block failed")
+
+    out = autodiff.edge_scores(tensors[0], src, rel, *tensors[1:])
+    monkeypatch.setattr(autodiff, helper, failing)
+    with pytest.raises(ArithmeticError, match="block failed"):
+        if helper == "_gelu_parts":
+            autodiff.edge_scores(tensors[0], src, rel, *tensors[1:])
+        else:
+            out.backward(g)
+    assert threads
+    if len(getattr(os, "sched_getaffinity", lambda _: ())(0)) > 1:
+        assert threading.main_thread() not in threads
+    monkeypatch.undo()  # the workers survive the failure
+    want = serial_scores_and_grads(src, rel, tensors, g, autodiff._EDGE_BLOCK_FLOATS)
+    assert_same_bits(library_scores_and_grads(src, rel, tensors, g), want)
+
+
+def test_edge_scores_from_many_caller_threads_keep_their_bits():
+    cases = [many_block_case(seed) for seed in range(190, 195)]  # more callers than CPUs
+    wants = [serial_scores_and_grads(src, rel, tensors, g, autodiff._EDGE_BLOCK_FLOATS)
+             for src, rel, tensors, g in cases]
+    gots = [None] * len(cases)
+
+    def call(i):
+        gots[i] = library_scores_and_grads(*cases[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(len(cases))]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in callers)
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(gots, wants):
+        assert_same_bits(got, want)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_edge_scores_run_in_a_child_forked_after_the_workers_started():
+    src, rel, tensors, _ = many_block_case()
+    with autodiff.no_grad():
+        want = autodiff.edge_scores(tensors[0], src, rel, *tensors[1:]).data
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # forking a process with threads is the point
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            with autodiff.no_grad():
+                got = autodiff.edge_scores(tensors[0], src, rel, *tensors[1:]).data
+            code = 0 if np.array_equal(got, want) else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung in edge_scores")
+        time.sleep(0.02)
+    assert os.waitstatus_to_exitcode(status) == 0
