@@ -546,9 +546,10 @@ def csr_weighted_sum(weights, values, src, offsets) -> Tensor:
     a = sparse.csr_array((w.data, col, off), shape=(len(off) - 1, v.data.shape[0]))
 
     def bwd(g):
-        prod = g[np.repeat(np.arange(len(off) - 1), np.diff(off))]
-        prod *= v.data[col]
-        w._accumulate(prod.sum(axis=1))
+        if w.requires_grad:  # constant weights (the baseline's interpolation) need no gradient
+            prod = g[np.repeat(np.arange(len(off) - 1), np.diff(off))]
+            prod *= v.data[col]
+            w._accumulate(prod.sum(axis=1))
         v._accumulate(a.T @ g)
 
     return _make(a @ v.data, (w, v), bwd, "csr_weighted_sum")

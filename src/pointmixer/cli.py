@@ -2,7 +2,9 @@
 checking, operator benchmarks, and receptive-field analysis.
 
 Exit codes: 0 success, 2 usage error (bad flags, mismatched head/task),
-3 I/O failure (unreadable data or config), 4 non-finite training loss.
+3 I/O failure (unreadable data, config or checkpoint, or a network whose
+output on the evaluated data is non-finite), 4 non-finite training loss or
+non-finite output on the test split after training.
 The PMIX_SEED environment variable overrides data.seed everywhere.
 """
 
@@ -12,6 +14,7 @@ import argparse
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -140,8 +143,12 @@ def _eval_split(network, dataset: tasks.Dataset, split: str) -> tasks.MetricRepo
     targets = None
     if dataset.spec.task == "recon":
         targets = dataset.train_targets if split == "train" else dataset.test_targets
-    return tasks.evaluate(network, clouds, dataset.spec.task,
-                          num_classes=dataset.spec.classes, targets=targets)
+    with warnings.catch_warnings():
+        # numpy's overflow warnings on the way to a non-finite output: evaluate
+        # raises NonFiniteOutput for that output, in one line
+        warnings.filterwarnings("ignore", "(overflow|invalid value) encountered", RuntimeWarning)
+        return tasks.evaluate(network, clouds, dataset.spec.task,
+                              num_classes=dataset.spec.classes, targets=targets)
 
 
 def _write_log_csv(path, log):
@@ -172,11 +179,11 @@ def _ablation_grid(cfg: config_mod.Config, dataset: tasks.Dataset, out_dir: str)
                                        use_intra=use_intra, use_inter=use_inter, use_hier=use_hier)
         try:
             _run_training(cfg, dataset, network)
-        except tasks.TrainingDiverged as e:
+            report = _eval_split(network, dataset, "test" if dataset.test else "train")
+        except (tasks.TrainingDiverged, tasks.NonFiniteOutput) as e:
             print(f"training diverged in grid cell ({use_intra},{use_inter},{use_hier}): {e}",
                   file=sys.stderr)
             return EXIT_DIVERGED
-        report = _eval_split(network, dataset, "test" if dataset.test else "train")
         value = report.values[metric_key]
         rows.append((use_intra, use_inter, use_hier, value))
         marks = ["x" if f else "." for f in (use_intra, use_inter, use_hier)]
@@ -226,7 +233,11 @@ def cmd_train(args) -> int:
     if log:
         print(f"final epoch: loss={log[-1]['loss']:.6f} train_metric={log[-1]['train_metric']:.4f}")
     if dataset.test:
-        print(_eval_split(network, dataset, "test").to_kv())
+        try:
+            print(_eval_split(network, dataset, "test").to_kv())
+        except tasks.NonFiniteOutput as e:
+            print(f"test evaluation diverged: {e}", file=sys.stderr)
+            return EXIT_DIVERGED
     return EXIT_OK
 
 
@@ -262,7 +273,11 @@ def cmd_eval(args) -> int:
     except ValueError as e:
         print(f"checkpoint does not fit this network: {e}", file=sys.stderr)
         return EXIT_USAGE
-    report = _eval_split(network, dataset, args.split)
+    try:
+        report = _eval_split(network, dataset, args.split)
+    except tasks.NonFiniteOutput as e:
+        print(f"cannot evaluate: {e}", file=sys.stderr)
+        return EXIT_IO
     print(report.to_csv() if args.format == "csv" else report.to_kv())
     return EXIT_OK
 

@@ -54,6 +54,7 @@ __all__ = [
     "fps",
     "relative_positions",
     "build_hierarchy",
+    "level_sizes",
     "lexmin_index",
     "intra_influence",
     "inter_influence",
@@ -453,6 +454,17 @@ def _level_k(k, idx: int) -> int:
     return int(k[idx])
 
 
+def level_sizes(n: int, ratios) -> list[int]:
+    """Point count of each level of an n-point cloud: level i keeps
+    ``max(1, floor(ratios[i] * previous size + 0.5))`` points, the previous
+    size of level 0 being n (so a ratio of 1.0 keeps every point)."""
+    sizes = []
+    for r in ratios:
+        n = max(1, int(np.floor(r * n + 0.5)))
+        sizes.append(n)
+    return sizes
+
+
 def build_hierarchy(
     points: PointCloud | np.ndarray, ratios, k, start: int = 0
 ) -> Hierarchy:
@@ -478,17 +490,14 @@ def build_hierarchy(
 
     hierarchy = Hierarchy()
     prev_pos = pos.astype(np.float64, copy=False)  # every level ranks in float64
-    first_sampled = True
-    for li, ratio in enumerate(ratios):
+    for li, size in enumerate(level_sizes(len(pos), ratios)):
         kk = _level_k(k, li)
-        if ratio == 1.0:
+        if li == 0:  # the identity level
             subset = np.arange(len(prev_pos), dtype=np.int64)
         else:
-            m = max(1, int(np.floor(ratio * len(prev_pos) + 0.5)))
             # deeper levels restart from local index 0: the previous level's
             # first FPS pick, i.e. the same geometric point as `start`
-            subset = fps(prev_pos, m, start if first_sampled else 0)
-            first_sampled = False
+            subset = fps(prev_pos, size, start if li == 1 else 0)
         level_pos = prev_pos[subset]
         if kk > len(prev_pos):
             raise ValueError(f"k={kk} exceeds level size {len(prev_pos)}")

@@ -360,7 +360,6 @@ def create_variant(
     k: int | None = None,
     pe_width: int | None = None,
     reduction: int = 4,
-    tokenmlp_pos: bool = False,
 ):
     if kind == "softmax":
         return PointMixerParams.create(store, name, width, rng, pe_width=pe_width, reduction=reduction)
@@ -371,7 +370,7 @@ def create_variant(
     if kind == "tokenmlp":
         if k is None:
             raise ValueError("tokenmlp variant needs a declared neighbor count")
-        return TokenMlpParams.create(store, name, width, k, rng, with_pos=tokenmlp_pos)
+        return TokenMlpParams.create(store, name, width, k, rng)
     raise ValueError(f"unknown variant {kind!r}; expected one of {VARIANTS}")
 
 
@@ -400,14 +399,10 @@ class MixerBlockParams:
         k: int | None = None,
         pe_width: int | None = None,
         reduction: int = 4,
-        tokenmlp_pos: bool = False,
     ) -> "MixerBlockParams":
         return cls(
             LayerNorm.create(store, f"{name}.norm1", width),
-            create_variant(
-                store, f"{name}.mix", variant, width, rng,
-                k=k, pe_width=pe_width, reduction=reduction, tokenmlp_pos=tokenmlp_pos,
-            ),
+            create_variant(store, f"{name}.mix", variant, width, rng, k=k, pe_width=pe_width, reduction=reduction),
             LayerNorm.create(store, f"{name}.norm2", width),
             Mlp2.create(store, f"{name}.channel", (width, expansion * width, width), rng),
             width,

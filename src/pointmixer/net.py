@@ -10,7 +10,7 @@ interpolation up, the latter rebuilding a kNN map at decode time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,16 +18,16 @@ from . import geom
 from .autodiff import (
     Tensor,
     as_tensor,
+    csr_weighted_sum,
     gather_rows,
     gelu,
     max_axis1,
     reduce_mean,
-    reduce_sum,
     reshape,
 )
 from .geom import HierarchyLevel, InverseNeighborMap, NeighborMap
 from .mixer import MixerBlockParams, PointMixerParams, mixer_block, hier_down_mix, hier_up_mix
-from .nn import LayerNorm, Linear, Mlp2, ParamStore, Rng, dropout
+from .nn import LayerNorm, Linear, ParamStore, Rng, dropout
 
 __all__ = [
     "LevelSpec",
@@ -85,7 +85,6 @@ class NetworkConfig:
     expansion: int = 2
     reduction: int = 4
     pe_width: int | None = None
-    tokenmlp_pos: bool = False
 
     def validate(self):
         if not self.levels:
@@ -153,104 +152,73 @@ class Network:
         float64 (``geom.as_positions``)."""
         cfg = self.config
         pos = geom.as_positions(positions)
-        n = len(pos)
-        sizes = [n]
-        for spec in cfg.levels[1:]:
-            sizes.append(max(1, int(np.floor(spec.ratio * sizes[-1] + 0.5))))
         ratios = [spec.ratio for spec in cfg.levels]
+        sizes = geom.level_sizes(len(pos), ratios)
         k_down = [min(cfg.k, sizes[max(0, i - 1)]) for i in range(len(cfg.levels))]
         hier = geom.build_hierarchy(pos, ratios, k_down, start=geom.lexmin_index(pos))
-        level_pos = [lv.positions for lv in hier.levels]
-        sl_maps, sl_invs = [], []
-        for li, lv in enumerate(hier.levels):
-            if li == 0:
-                m = lv.down_map  # identity level: the down map is the same-level map
-            else:
-                m = geom.knn(lv.positions, lv.positions, min(cfg.k, lv.n))
-            sl_maps.append(m)
-            sl_invs.append(geom.invert_map(m) if cfg.use_inter else None)
-        return Plan(level_pos, hier.levels, sl_maps, sl_invs)
+        # the identity level's down map is level 0's same-level map, inverse included
+        sl_maps = [hier.levels[0].down_map]
+        sl_maps += [geom.knn(lv.positions, lv.positions, min(cfg.k, lv.n)) for lv in hier.levels[1:]]
+        sl_invs = [None] * len(sl_maps)
+        if cfg.use_inter:
+            sl_invs = [hier.levels[0].down_inverse] + [geom.invert_map(m) for m in sl_maps[1:]]
+        return Plan([lv.positions for lv in hier.levels], hier.levels, sl_maps, sl_invs)
 
     def state(self):
         return self.store.state()
 
 
 def _block_list(store, prefix, cfg: NetworkConfig, spec: LevelSpec, rng) -> list[tuple[str, MixerBlockParams]]:
-    out = []
-    for b in range(spec.blocks):
-        if cfg.use_intra:
-            out.append(
-                ("intra", MixerBlockParams.create(
-                    store, f"{prefix}.b{b}.intra", spec.width, rng,
-                    variant=cfg.variant, expansion=cfg.expansion, k=cfg.k,
-                    pe_width=cfg.pe_width, reduction=cfg.reduction, tokenmlp_pos=cfg.tokenmlp_pos,
-                ))
-            )
-        if cfg.use_inter:
-            out.append(
-                ("inter", MixerBlockParams.create(
-                    store, f"{prefix}.b{b}.inter", spec.width, rng,
-                    variant=cfg.variant, expansion=cfg.expansion, k=cfg.k,
-                    pe_width=cfg.pe_width, reduction=cfg.reduction,
-                ))
-            )
-    return out
+    kinds = [kind for kind, on in (("intra", cfg.use_intra), ("inter", cfg.use_inter)) if on]
+    return [
+        (kind, MixerBlockParams.create(store, f"{prefix}.b{b}.{kind}", spec.width, rng, variant=cfg.variant,
+                                       expansion=cfg.expansion, k=cfg.k, pe_width=cfg.pe_width,
+                                       reduction=cfg.reduction))
+        for b in range(spec.blocks)
+        for kind in kinds
+    ]
+
+
+def _transition_mix(store, name, width, cfg: NetworkConfig, rng) -> PointMixerParams | None:
+    """A transition's mix slot: PointMixer mixing, or None for the asymmetric baseline."""
+    if not cfg.use_hier:
+        return None
+    return PointMixerParams.create(store, name, width, rng, pe_width=cfg.pe_width, reduction=cfg.reduction)
 
 
 def build_network(config: NetworkConfig, rng: Rng) -> Network:
     """Deterministic construction; parameter names are stable across runs."""
     config.validate()
     store = ParamStore()
-    embed = Linear.create(store, "embed", config.in_channels, config.levels[0].width, rng)
+    levels = config.levels
+    embed = Linear.create(store, "embed", config.in_channels, levels[0].width, rng)
 
     enc_blocks, downs = [], []
-    for li, spec in enumerate(config.levels):
+    for li, spec in enumerate(levels):
         if li > 0:
-            prev_w = config.levels[li - 1].width
-            if config.use_hier:
-                downs.append(_TransitionDown(
-                    LayerNorm.create(store, f"td{li}.norm", prev_w),
-                    PointMixerParams.create(store, f"td{li}.mix", prev_w, rng,
-                                            pe_width=config.pe_width, reduction=config.reduction),
-                    Linear.create(store, f"td{li}.reduce", prev_w, spec.width, rng),
-                ))
-            else:
-                downs.append(_TransitionDown(
-                    LayerNorm.create(store, f"td{li}.norm", prev_w),
-                    None,
-                    Linear.create(store, f"td{li}.reduce", prev_w, spec.width, rng),
-                ))
+            prev_w = levels[li - 1].width
+            downs.append(_TransitionDown(
+                LayerNorm.create(store, f"td{li}.norm", prev_w),
+                _transition_mix(store, f"td{li}.mix", prev_w, config, rng),
+                Linear.create(store, f"td{li}.reduce", prev_w, spec.width, rng),
+            ))
         enc_blocks.append(_block_list(store, f"enc{li}", config, spec, rng))
 
     ups, dec_blocks = [], []
-    if isinstance(config.head, DenseHead):
-        for li in range(len(config.levels) - 1):
-            spec = config.levels[li]
-            next_w = config.levels[li + 1].width
-            if config.use_hier:
-                ups.append(_TransitionUp(
-                    LayerNorm.create(store, f"tu{li}.norm", next_w),
-                    Linear.create(store, f"tu{li}.expand", next_w, spec.width, rng),
-                    PointMixerParams.create(store, f"tu{li}.mix", spec.width, rng,
-                                            pe_width=config.pe_width, reduction=config.reduction),
-                ))
-            else:
-                ups.append(_TransitionUp(
-                    LayerNorm.create(store, f"tu{li}.norm", next_w),
-                    Linear.create(store, f"tu{li}.expand", next_w, spec.width, rng),
-                    None,
-                ))
-            dec_blocks.append(_block_list(store, f"dec{li}", config, spec, rng))
+    classify = isinstance(config.head, ClassificationHead)
+    for li, spec in enumerate([] if classify else levels[:-1]):  # a classifier has no decoder
+        next_w = levels[li + 1].width
+        ups.append(_TransitionUp(
+            LayerNorm.create(store, f"tu{li}.norm", next_w),
+            Linear.create(store, f"tu{li}.expand", next_w, spec.width, rng),
+            _transition_mix(store, f"tu{li}.mix", spec.width, config, rng),
+        ))
+        dec_blocks.append(_block_list(store, f"dec{li}", config, spec, rng))
 
-    if isinstance(config.head, ClassificationHead):
-        w = config.levels[-1].width
-        fc1 = Linear.create(store, "head.fc1", w, w, rng)
-        fc2 = Linear.create(store, "head.fc2", w, config.head.num_classes, rng)
-    else:
-        w = config.levels[0].width
-        fc1 = Linear.create(store, "head.fc1", w, w, rng)
-        fc2 = Linear.create(store, "head.fc2", w, config.head.out_channels, rng)
-
+    w = levels[-1 if classify else 0].width
+    outputs = config.head.num_classes if classify else config.head.out_channels
+    fc1 = Linear.create(store, "head.fc1", w, w, rng)
+    fc2 = Linear.create(store, "head.fc2", w, outputs, rng)
     return Network(config, store, embed, enc_blocks, downs, ups, dec_blocks, fc1, fc2)
 
 
@@ -289,10 +257,7 @@ def _transition_up(net: Network, x, skip, plan: Plan, li: int):
     d2 = np.sum((pos_o[:, None, :] - pos_s[m3.indices]) ** 2, axis=-1)
     w = 1.0 / (d2 + 1e-10)
     w /= w.sum(axis=1, keepdims=True)
-    n_o, kk = m3.indices.shape
-    gathered = reshape(gather_rows(g, m3.indices.ravel()), (n_o, kk, g.shape[-1]))
-    interp = reduce_sum(gathered * Tensor(w[:, :, None]), axis=1)
-    return interp + skip
+    return csr_weighted_sum(Tensor(w.ravel()), g, m3.edges.src, m3.edges.offsets) + skip
 
 
 def _encode(net: Network, plan: Plan, feats):

@@ -6,6 +6,7 @@ against central finite differences in the test suite.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -331,7 +332,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             name = _read_exact(fh, name_len).decode("utf-8")
             (rank,) = struct.unpack("<I", _read_exact(fh, 4))
             shape = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank)) if rank else ()
-            n = int(np.prod(shape)) if shape else 1
+            n = math.prod(shape)  # exact: a corrupt extent list cannot overflow
             data = np.frombuffer(_read_exact(fh, 8 * n), dtype="<f8").reshape(shape)
             if not np.all(np.isfinite(data)):
                 raise ValueError(f"non-finite values in checkpoint array {name!r}")

@@ -28,6 +28,7 @@ __all__ = [
     "MetricReport",
     "Schedule",
     "TrainingDiverged",
+    "NonFiniteOutput",
     "gen_dataset",
     "cross_entropy",
     "chamfer",
@@ -332,6 +333,10 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
+class NonFiniteOutput(ValueError):
+    """``evaluate`` met a network output holding NaN or inf."""
+
+
 @dataclass
 class Schedule:
     kind: str = "cosine"
@@ -423,15 +428,24 @@ def train(
     return network, log
 
 
+def _finite_output(out: Tensor, i: int) -> np.ndarray:
+    if not np.all(np.isfinite(out.data)):
+        raise NonFiniteOutput(f"non-finite network output on cloud {i} of the split")
+    return out.data
+
+
 def evaluate(network, clouds, task: str, num_classes: int = 0,
              targets=None, tau: float | None = None) -> MetricReport:
-    """Aggregate metrics over a split (confusions pooled across clouds)."""
+    """Aggregate metrics over a split (confusions pooled across clouds).
+
+    Raises NonFiniteOutput (a ValueError) naming the cloud, by its index in
+    ``clouds``, when the network output holds a non-finite value: argmax of
+    NaN logits would otherwise report class 0 as a prediction."""
     with no_grad():
         if task == "cls":
             correct_cloud, correct_class = [], {}
-            for cloud in clouds:
-                logits = net_mod.forward_classify(network, cloud)
-                pred = int(np.argmax(logits.data))
+            for i, cloud in enumerate(clouds):
+                pred = int(np.argmax(_finite_output(net_mod.forward_classify(network, cloud), i)))
                 label = int(cloud.labels[0])
                 correct_cloud.append(pred == label)
                 correct_class.setdefault(label, []).append(pred == label)
@@ -440,9 +454,8 @@ def evaluate(network, clouds, task: str, num_classes: int = 0,
             return MetricReport({"oa": oa, "macc": macc})
         if task == "seg":
             preds, gts = [], []
-            for cloud in clouds:
-                logits = net_mod.forward_dense(network, cloud)
-                preds.append(np.argmax(logits.data, axis=1))
+            for i, cloud in enumerate(clouds):
+                preds.append(np.argmax(_finite_output(net_mod.forward_dense(network, cloud), i), axis=1))
                 gts.append(cloud.labels)
             miou, macc, oa = segmentation_metrics(
                 np.concatenate(preds), np.concatenate(gts), num_classes
@@ -450,9 +463,8 @@ def evaluate(network, clouds, task: str, num_classes: int = 0,
             return MetricReport({"miou": miou, "macc": macc, "oa": oa})
         if task == "recon":
             cds, accs, cps, f1s = [], [], [], []
-            for cloud, target in zip(clouds, targets):
-                offsets = net_mod.forward_dense(network, cloud)
-                pred = cloud.positions + offsets.data
+            for i, (cloud, target) in enumerate(zip(clouds, targets)):
+                pred = cloud.positions + _finite_output(net_mod.forward_dense(network, cloud), i)
                 # one pair of nearest searches serves chamfer and occupancy
                 pred_gt, gt_pred = _nearest_sq(pred, target)
                 cds.append(_chamfer_from(pred_gt, gt_pred))

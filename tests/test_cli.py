@@ -1,7 +1,9 @@
 import filecmp
 import io
 import os
+import struct
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -404,6 +406,85 @@ def test_train_resume_from_non_finite_checkpoint_exits_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "train", str(tiny_train_config(tmp_path, "resumed", **{"train.resume": str(bad)})))
     assert code == 3
     assert "non-finite values in checkpoint" in err
+
+
+def diverged_seg_fixture(tmp_path, capsys):
+    """A tiny seg dataset, its config, and a checkpoint of that network with
+    every weight matrix scaled by 1e200, so its outputs are non-finite."""
+    data_dir = tmp_path / "segds"
+    run_cli(capsys, "gen", "--task", "seg", "--out", str(data_dir), "--clouds", "3",
+            "--test-clouds", "2", "--points", "48", "--seed", "0")
+    cfg_path = tiny_train_config(tmp_path, "segzero", **{"data.task": "seg", "data.classes": 2,
+                                                         "data.dir": str(data_dir), "train.epochs": 0})
+    assert run_cli(capsys, "train", str(cfg_path))[0] == 0
+    state = nn.load_checkpoint(tmp_path / "segzero" / "model.pmix")
+    nn.save_checkpoint(tmp_path / "huge.pmix",
+                       {k: v * 1e200 if k.endswith(".W") else v for k, v in state.items()})
+    return cfg_path, tmp_path / "huge.pmix", data_dir
+
+
+def test_eval_non_finite_output_exits_3(tmp_path, capsys):
+    cfg_path, huge, data_dir = diverged_seg_fixture(tmp_path, capsys)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "eval", "--config", str(cfg_path),
+                                 "--checkpoint", str(huge), "--data", str(data_dir))
+    assert caught == []  # numpy's overflow warnings would print beside the one line
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "non-finite network output on cloud 0" in err
+
+
+def test_train_non_finite_test_output_exits_4(tmp_path, capsys):
+    cfg_path, huge, data_dir = diverged_seg_fixture(tmp_path, capsys)
+    resume_cfg = tiny_train_config(tmp_path, "resumed", **{
+        "data.task": "seg", "data.classes": 2, "data.dir": str(data_dir),
+        "train.epochs": 0, "train.resume": str(huge),
+    })
+    code, _, err = run_cli(capsys, "train", str(resume_cfg))
+    assert code == 4
+    assert "test evaluation diverged: non-finite network output on cloud 0" in err
+
+
+def test_eval_checkpoint_with_overflowing_extents_exits_3(tmp_path, capsys):
+    cfg_path, ckpt, data_dir = eval_fixture(tmp_path, capsys)
+    bad = tmp_path / "extents.pmix"
+    name = b"embed.W"
+    bad.write_bytes(nn.CHECKPOINT_MAGIC + struct.pack("<Q", 1) + struct.pack("<I", len(name)) + name
+                    + struct.pack("<I", 40) + struct.pack("<40Q", *(1, 2**63) * 20))
+    with pytest.raises(ValueError, match="truncated checkpoint"):
+        nn.load_checkpoint(bad)
+    code, out, err = run_cli(capsys, "eval", "--config", str(cfg_path),
+                             "--checkpoint", str(bad), "--data", str(data_dir))
+    assert code == 3
+    assert "truncated checkpoint" in err
+    assert out == ""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a flipped exponent byte can overflow
+def test_eval_fuzzed_inputs_exit_0_2_or_3(tmp_path, capsys):
+    """Seeded byte flips and truncations of one cloud file and of the
+    checkpoint: each run exits 0, 2 (a flipped parameter name reads as a
+    checkpoint for another network) or 3, and none raises."""
+    cfg_path, ckpt, data_dir = eval_fixture(tmp_path, capsys)
+    cloud = data_dir / "test" / "cloud_00000.pmc"
+    originals = {cloud: cloud.read_bytes(), ckpt: ckpt.read_bytes()}
+    rng = np.random.default_rng(11)
+    codes = []
+    for case in range(400):
+        target = cloud if case % 2 else ckpt
+        data = bytearray(originals[target])
+        if rng.random() < 0.25:
+            data = data[: int(rng.integers(0, len(data)))]
+        else:
+            for pos in rng.integers(0, len(data), int(rng.integers(1, 4))):
+                data[pos] = int(rng.integers(0, 256))
+        target.write_bytes(bytes(data))
+        codes.append(cli.main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                               "--data", str(data_dir)]))
+        target.write_bytes(originals[target])
+    capsys.readouterr()
+    assert set(codes) <= {0, 2, 3}, sorted(set(codes))
 
 
 # -- gradcheck ---------------------------------------------------------------------

@@ -515,6 +515,14 @@ def test_hierarchy_quarter_sampling():
     assert np.array_equal(lv.down_map.indices, oracles.knn_rows(pts, pts[sampled], 4))
 
 
+def test_level_sizes_round_half_up_and_keep_one_point():
+    assert geom.level_sizes(10, [1.0, 0.25, 0.5]) == [10, 3, 2]  # 2.5 rounds up to 3, 1.5 to 2
+    assert geom.level_sizes(3, [1.0, 0.1]) == [3, 1]  # 0.3 rounds to 0, and a level keeps one point
+    pts = random_cloud(np.random.default_rng(5), 37)
+    h = geom.build_hierarchy(pts, [0.3, 0.45], k=2)
+    assert [lv.n for lv in h.levels] == geom.level_sizes(37, [1.0, 0.3, 0.45])
+
+
 def test_hierarchy_collinear_example():
     pts = np.array([[float(i), 0, 0] for i in range(10)])
     h = geom.build_hierarchy(pts, [0.2], k=2, start=0)

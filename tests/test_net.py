@@ -186,6 +186,40 @@ def test_classify_matches_composed_oracle():
     assert np.allclose(logits, expected, atol=1e-9)
 
 
+def test_asymmetric_baseline_matches_composed_oracle():
+    cfg = tiny_config(net.DenseHead(2), use_hier=False)
+    network = net.build_network(cfg, nn.Rng(8))
+    cloud = cloud_from(np.random.default_rng(9), 16)
+    plan = network.prepare(cloud.positions)
+    out = net.forward_dense(network, cloud, plan=plan).data
+
+    st = network.state()
+    pos0, pos1 = plan.positions
+
+    def blocks(x, pos, prefix):
+        rows = oracles.knn_rows(pos, pos, 3)
+        x = oracles.mixer_block_rows(x, pos, rows, st, f"{prefix}.b0.intra")
+        return oracles.mixer_block_rows(x, pos, oracles.invert_rows(rows, len(pos)), st, f"{prefix}.b0.inter")
+
+    skip = blocks(cloud.features @ st["embed.W"].T + st["embed.b"], pos0, "enc0")
+    # down: project, then a max over each down-map row
+    h = oracles.layernorm_rows(skip, st["td1.norm.gamma"], st["td1.norm.beta"])
+    proj = h @ st["td1.reduce.W"].T + st["td1.reduce.b"]
+    x = np.array([proj[row].max(axis=0) for row in oracles.knn_rows(pos0, pos1, 3)])
+    x = blocks(x, pos1, "enc1")
+    # up: inverse-square-distance weights over the 3 nearest samples, plus the skip
+    h = oracles.layernorm_rows(x, st["tu0.norm.gamma"], st["tu0.norm.beta"])
+    g = h @ st["tu0.expand.W"].T + st["tu0.expand.b"]
+    up = np.zeros_like(skip)
+    for i, row in enumerate(oracles.knn_rows(pos1, pos0, 3)):
+        w = 1.0 / (((pos0[i] - pos1[row]) ** 2).sum(axis=1) + 1e-10)
+        up[i] = (w / w.sum()) @ g[row]
+    x = blocks(up + skip, pos0, "dec0")
+    hidden = oracles._gelu(x @ st["head.fc1.W"].T + st["head.fc1.b"])
+    expected = hidden @ st["head.fc2.W"].T + st["head.fc2.b"]
+    assert np.allclose(out, expected, atol=1e-9)
+
+
 # -- dense forward ------------------------------------------------------------------
 
 
@@ -245,6 +279,15 @@ def test_decoder_maps_are_inverted_encoder_maps():
         rebuilt = geom.invert_map(lv.down_map)
         assert np.array_equal(rebuilt.offsets, lv.down_inverse.offsets)
         assert np.array_equal(rebuilt.indices, lv.down_inverse.indices)
+
+
+def test_plan_reuses_the_identity_level_map_and_inverse():
+    network = net.build_network(tiny_config(net.DenseHead(2)), nn.Rng(0))
+    plan = network.prepare(cloud_from(np.random.default_rng(6), 32).positions)
+    assert plan.sl_maps[0] is plan.levels[0].down_map
+    assert plan.sl_invs[0] is plan.levels[0].down_inverse
+    no_inter = net.build_network(tiny_config(net.DenseHead(2), use_inter=False), nn.Rng(0))
+    assert no_inter.prepare(cloud_from(np.random.default_rng(6), 32).positions).sl_invs == [None, None]
 
 
 # -- end-to-end gradient check --------------------------------------------------------

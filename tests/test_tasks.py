@@ -266,6 +266,16 @@ def test_evaluate_reports_task_metrics():
     assert 0.0 <= rep.values["oa"] <= 1.0
 
 
+def test_evaluate_names_the_cloud_with_non_finite_output():
+    ds = tasks.gen_dataset(tasks.DatasetSpec(task="cls", points=32, train_clouds=1, test_clouds=3, seed=1))
+    cfg = net.NetworkConfig(levels=[net.LevelSpec(4, 1, 1.0)], head=net.ClassificationHead(3), k=4,
+                            in_channels=ds.test[0].channels)
+    network = net.build_network(cfg, nn.Rng(0))
+    ds.test[1].features[:] = 1e308  # finite inputs whose sums overflow
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="cloud 1 "):
+        tasks.evaluate(network, ds.test, "cls")
+
+
 def test_chamfer_loss_gradcheck():
     rng = np.random.default_rng(5)
     pred = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
