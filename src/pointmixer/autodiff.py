@@ -443,16 +443,11 @@ def reduce_mean(a, axis=None) -> Tensor:
 
 
 def max_axis1(a) -> Tensor:
-    """Max over axis 1 of a 3-D tensor; subgradient routes to the argmax."""
+    """Max over axis 1 of an (n, k, c) tensor: ``segment_max`` over the
+    stride-k segments of its (n * k, c) rows."""
     a = as_tensor(a)
-    idx = np.argmax(a.data, axis=1)
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        np.put_along_axis(full, idx[:, None, :], g[:, None, :], axis=1)
-        a._accumulate(full)
-
-    return _make(np.take_along_axis(a.data, idx[:, None, :], axis=1)[:, 0, :], (a,), bwd, "max")
+    n, k, c = a.data.shape
+    return segment_max(reshape(a, (n * k, c)), np.arange(n + 1) * k)
 
 
 # -- indexing -------------------------------------------------------------
@@ -461,6 +456,11 @@ def max_axis1(a) -> Tensor:
 def _check_offsets(off: np.ndarray, rows: int):
     if off.ndim != 1 or len(off) == 0 or off[0] != 0 or off[-1] != rows or np.any(np.diff(off) < 0):
         raise ValueError("malformed CSR offsets")
+
+
+def _segment_ids(off: np.ndarray) -> np.ndarray:
+    """The segment index of each row of CSR ``offsets``."""
+    return np.repeat(np.arange(len(off) - 1), np.diff(off))
 
 
 def _accumulate_gathered(x: Tensor, idx: np.ndarray, g: np.ndarray):
@@ -520,8 +520,7 @@ def segment_sum(values, offsets) -> Tensor:
     v = as_tensor(values)
     off = np.asarray(offsets, dtype=np.int64)
     _check_offsets(off, v.data.shape[0])
-    lengths = np.diff(off)
-    seg_ids = np.repeat(np.arange(len(lengths)), lengths)
+    seg_ids = _segment_ids(off)
 
     def bwd(g):
         v._accumulate(g[seg_ids])
@@ -547,7 +546,7 @@ def csr_weighted_sum(weights, values, src, offsets) -> Tensor:
 
     def bwd(g):
         if w.requires_grad:  # constant weights (the baseline's interpolation) need no gradient
-            prod = g[np.repeat(np.arange(len(off) - 1), np.diff(off))]
+            prod = g[_segment_ids(off)]
             prod *= v.data[col]
             w._accumulate(prod.sum(axis=1))
         v._accumulate(a.T @ g)
@@ -843,8 +842,7 @@ def segment_softmax(scores, offsets) -> Tensor:
     if s.data.ndim not in (1, 2):
         raise ValueError("segment_softmax expects a flat or (rows, channels) score tensor")
     _check_offsets(off, s.data.shape[0])
-    lengths = np.diff(off)
-    seg_ids = np.repeat(np.arange(len(lengths)), lengths)
+    seg_ids = _segment_ids(off)
     seg_max = _segment_reduce(np.maximum, s.data, off, -np.inf)
     e = np.exp(s.data - seg_max[seg_ids])
     p = e / _segment_reduce(np.add, e, off)[seg_ids]
@@ -862,22 +860,18 @@ def segment_max(values, offsets) -> Tensor:
     non-empty."""
     v = as_tensor(values)
     off = np.asarray(offsets, dtype=np.int64)
-    lengths = np.diff(off)
-    if np.any(lengths <= 0):
+    if v.data.ndim != 2:
+        raise ValueError("segment_max expects (rows, channels) values")
+    _check_offsets(off, v.data.shape[0])
+    if np.any(off[1:] == off[:-1]):
         raise ValueError("segment_max requires non-empty segments")
-    seg_ids = np.repeat(np.arange(len(lengths)), lengths)
-    n_rows, width = v.data.shape
-    out = np.full((len(lengths), width), -np.inf, dtype=v.data.dtype)
-    np.maximum.at(out, seg_ids, v.data)
-    hit = v.data == out[seg_ids]
-    cand = np.where(hit, np.arange(n_rows, dtype=np.int64)[:, None], n_rows)
-    first = np.full((len(lengths), width), n_rows, dtype=np.int64)
-    np.minimum.at(first, seg_ids, cand)
+    out = _segment_reduce(np.maximum, v.data, off)
 
-    def bwd(g):
-        if v.grad is None:
-            v.grad = np.zeros_like(v.data)
-        flat_pos = first * width + np.arange(width, dtype=np.int64)[None, :]
-        np.add.at(v.grad.reshape(-1), flat_pos.ravel(), g.ravel())
+    def bwd(g):  # the first maximal row: the least row index that holds its segment's max
+        n = len(v.data)
+        rows = np.where(v.data == out[_segment_ids(off)], np.arange(n)[:, None], n)
+        full = np.zeros_like(v.data)
+        np.put_along_axis(full, _segment_reduce(np.minimum, rows, off), g, axis=0)
+        v._accumulate(full)
 
     return _make(out, (v,), bwd, "segment_max")

@@ -1,16 +1,18 @@
 """pmix command line: dataset generation, training, evaluation, gradient
 checking, operator benchmarks, and receptive-field analysis.
 
-Exit codes: 0 success, 2 usage error (bad flags, mismatched head/task),
-3 I/O failure (unreadable data, config or checkpoint, or a network whose
-output on the evaluated data is non-finite), 4 non-finite training loss or
-non-finite output on the test split after training.
+Exit codes: 0 success, 2 usage error (bad flags, mismatched head/task,
+clouds with fewer points than the network's k needs), 3 I/O failure
+(unreadable data, config or checkpoint, or a network whose output on the
+evaluated data is non-finite), 4 non-finite training loss or non-finite
+output on the test split after training.
 The PMIX_SEED environment variable overrides data.seed everywhere.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 import time
@@ -158,16 +160,7 @@ def _write_log_csv(path, log):
             fh.write(f"{row['epoch']},{row['lr']!r},{row['loss']!r},{row['train_metric']!r}\n")
 
 
-GRID = [
-    (False, False, False),
-    (False, False, True),
-    (False, True, False),
-    (False, True, True),
-    (True, False, False),
-    (True, False, True),
-    (True, True, False),
-    (True, True, True),
-]
+GRID = list(itertools.product((False, True), repeat=3))  # (intra, inter, hier) rows
 
 
 def _ablation_grid(cfg: config_mod.Config, dataset: tasks.Dataset, out_dir: str) -> int:
@@ -572,7 +565,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except UsageError as e:
+    except (UsageError, tasks.CloudsTooSmall, mixer.VariableCardinalityError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as e:

@@ -153,10 +153,6 @@ class NeighborMap:
     def k(self) -> int:
         return self.indices.shape[1]
 
-    @property
-    def query_count(self) -> int:
-        return self.indices.shape[0]
-
     @functools.cached_property
     def edges(self) -> Edges:
         n, k = self.indices.shape

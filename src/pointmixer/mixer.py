@@ -39,7 +39,6 @@ from .autodiff import (
     gather_rows,
     linear,
     matmul,
-    max_axis1,
     reduce_mean,
     reshape,
     segment_max,
@@ -299,8 +298,6 @@ def _maxpool_mix(x, positions, index_map, v: MaxPoolParams) -> Tensor:
     pos = as_positions(positions)
     e = index_map.edges
     h = v.mlp(concat_last([gather_rows(x, e.src), Tensor(pos[e.dst] - pos[e.src])]))
-    if isinstance(index_map, NeighborMap):  # fixed K: a dense max over the neighbor axis
-        return max_axis1(reshape(h, (index_map.query_count, index_map.k, v.width)))
     return segment_max(h, e.offsets)
 
 

@@ -21,9 +21,8 @@ from .autodiff import (
     csr_weighted_sum,
     gather_rows,
     gelu,
-    max_axis1,
     reduce_mean,
-    reshape,
+    segment_max,
 )
 from .geom import HierarchyLevel, InverseNeighborMap, NeighborMap
 from .mixer import MixerBlockParams, PointMixerParams, mixer_block, hier_down_mix, hier_up_mix
@@ -237,10 +236,8 @@ def _transition_down(net: Network, x, plan: Plan, li: int):
         mixed = hier_down_mix(h, plan.positions[li - 1], plan.positions[li], lv.down_map, td.mix)
         return td.lin(mixed)
     # asymmetric baseline: project then max-pool over the down-map neighborhood
-    proj = td.lin(h)
-    n_s, k = lv.down_map.indices.shape
-    gathered = reshape(gather_rows(proj, lv.down_map.indices.ravel()), (n_s, k, proj.shape[-1]))
-    return max_axis1(gathered)
+    e = lv.down_map.edges
+    return segment_max(gather_rows(td.lin(h), e.src), e.offsets)
 
 
 def _transition_up(net: Network, x, skip, plan: Plan, li: int):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import net as net_mod
 from .autodiff import Tensor, no_grad, reduce_sum, gather_rows, _make
-from .geom import PointCloud, nearest
+from .geom import PointCloud, level_sizes, nearest
 from .nn import Rng, cosine_lr, sgd_step, step_lr
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "Schedule",
     "TrainingDiverged",
     "NonFiniteOutput",
+    "CloudsTooSmall",
     "gen_dataset",
     "cross_entropy",
     "chamfer",
@@ -85,19 +86,17 @@ def _sample_sphere(rng: Rng, n: int, radius: float = 1.0):
     return radius * v, v.copy()
 
 
+_OTHER_AXES = np.array([[1, 2], [0, 2], [0, 1]])  # row a: the two axes besides a
+
+
 def _sample_cube(rng: Rng, n: int, half: float = 0.8):
     face = rng.integers(0, 6, n)
     uv = rng.uniform(-half, half, (n, 2))
-    pts = np.zeros((n, 3))
+    rows, axis = np.arange(n), face % 3
     normals = np.zeros((n, 3))
-    axis = face % 3
-    sign = np.where(face < 3, 1.0, -1.0)
-    for i in range(n):
-        others = [a for a in range(3) if a != axis[i]]
-        pts[i, axis[i]] = sign[i] * half
-        pts[i, others[0]] = uv[i, 0]
-        pts[i, others[1]] = uv[i, 1]
-        normals[i, axis[i]] = sign[i]
+    normals[rows, axis] = np.where(face < 3, 1.0, -1.0)
+    pts = normals * half
+    pts[rows[:, None], _OTHER_AXES[axis]] = uv
     return pts, normals
 
 
@@ -333,6 +332,10 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
+class CloudsTooSmall(ValueError):
+    """``train`` met clouds with too few points for the network's k."""
+
+
 class NonFiniteOutput(ValueError):
     """``evaluate`` met a network output holding NaN or inf."""
 
@@ -384,12 +387,18 @@ def train(
     """Deterministic mini-batch training; per-cloud geometry is built once and
     cached. Returns the trained network and one log row per epoch."""
     task = dataset.spec.task
+    cfg = network.config
     min_points = min(c.n for c in dataset.train)
-    if min_points < 2 * network.config.k:
-        raise ValueError(
-            f"clouds of {min_points} points are too small for k={network.config.k} "
+    if min_points < 2 * cfg.k:
+        raise CloudsTooSmall(
+            f"clouds of {min_points} points are too small for k={cfg.k} "
             "(need at least 2k points per cloud)"
         )
+    sizes = level_sizes(min_points, [spec.ratio for spec in cfg.levels])
+    for li, (spec, n) in enumerate(zip(cfg.levels, sizes)):  # a token MLP mixes exactly k neighbours
+        if cfg.variant == "tokenmlp" and cfg.use_intra and spec.blocks and n < cfg.k:
+            raise CloudsTooSmall(f"clouds of {min_points} points keep {n} points at level {li}, "
+                                 f"too few for token-MLP blocks with k={cfg.k}")
     plans = [None] * len(dataset.train)
     targets = dataset.train_targets if task == "recon" else [None] * len(dataset.train)
     drop_rng = dropout_rng or Rng(0)

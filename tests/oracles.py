@@ -154,6 +154,42 @@ def edge_scores_serial(hidden, src, rel, W1, b1, W_fold, w2, b2, g=None, block_f
     return out, [g_h, g_W1, g_b1, g_wf, g_w2[None, :], g.sum(keepdims=True)]
 
 
+def segment_max_loop(values, offsets, g):
+    """Per-segment, per-channel max by a python scan, and the gradient of
+    ``sum(max * g)``: each channel's ``g`` goes to the first row holding the
+    segment's max (strict ``>`` keeps the earliest of tied rows)."""
+    values = np.asarray(values, dtype=np.float64)
+    out = np.zeros((len(offsets) - 1, values.shape[1]))
+    grad = np.zeros_like(values)
+    for s in range(len(offsets) - 1):
+        for c in range(values.shape[1]):
+            best = offsets[s]
+            for r in range(offsets[s] + 1, offsets[s + 1]):
+                if values[r, c] > values[best, c]:
+                    best = r
+            out[s, c] = values[best, c]
+            grad[best, c] += g[s, c]
+    return out, grad
+
+
+def sample_cube_loop(rng, n, half=0.8):
+    """Cube-surface sampler with one python step per point: a random face
+    (axis = face % 3, outward for faces 0-2), the two other axes from ``uv``."""
+    face = rng.integers(0, 6, n)
+    uv = rng.uniform(-half, half, (n, 2))
+    pts = np.zeros((n, 3))
+    normals = np.zeros((n, 3))
+    axis = face % 3
+    sign = np.where(face < 3, 1.0, -1.0)
+    for i in range(n):
+        others = [a for a in range(3) if a != axis[i]]
+        pts[i, axis[i]] = sign[i] * half
+        pts[i, others[0]] = uv[i, 0]
+        pts[i, others[1]] = uv[i, 1]
+        normals[i, axis[i]] = sign[i]
+    return pts, normals
+
+
 def relative_positions(queries, sources, rows):
     out = np.zeros((len(rows), len(rows[0]), 3))
     for i, row in enumerate(rows):

@@ -173,6 +173,33 @@ def test_train_grid_emits_eight_rows(tmp_path, capsys):
     assert len(combos) == 8
 
 
+def assert_one_line_error(err, message):
+    assert message in err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("grid", [False, True])
+def test_train_clouds_with_fewer_than_2k_points_exit_2(tmp_path, capsys, grid):
+    cfg_path = tiny_train_config(tmp_path, **{"data.task": "seg", "data.classes": 2,
+                                              "data.points": 16, "net.k": 16})
+    code, _, err = run_cli(capsys, "train", str(cfg_path), *(["--grid"] if grid else []))
+    assert code == 2
+    assert_one_line_error(err, "clouds of 16 points are too small for k=16")
+
+
+def test_train_tokenmlp_on_a_deepest_level_below_k_exits_2(tmp_path, capsys):
+    # default levels keep 512, 128, 32 and 8 points; the last has fewer than k = 16
+    cfg_path = tiny_train_config(tmp_path, **{
+        "data.task": "seg", "data.classes": 2, "data.points": 512, "data.train_clouds": 2,
+        "data.test_clouds": 1, "net.widths": "32,64,128,256", "net.blocks": "1,1,1,1",
+        "net.ratios": "1.0,0.25,0.25,0.25", "net.k": 16, "net.variant": "tokenmlp",
+        "net.use_inter": "false"})
+    code, _, err = run_cli(capsys, "train", str(cfg_path))
+    assert code == 2
+    assert_one_line_error(err, "clouds of 512 points keep 8 points at level 3")
+
+
 # -- eval ------------------------------------------------------------------------
 
 
@@ -209,6 +236,20 @@ def test_eval_mismatched_task_exits_2(tmp_path, capsys):
                            "--checkpoint", str(ckpt), "--data", str(seg_dir))
     assert code == 2
     assert "mismatch" in err
+
+
+def test_eval_tokenmlp_on_clouds_too_small_for_k_exits_2(tmp_path, capsys):
+    cfg_path = tiny_train_config(tmp_path, "tok", **{"net.variant": "tokenmlp",
+                                                     "net.use_inter": "false", "train.epochs": 0})
+    assert run_cli(capsys, "train", str(cfg_path))[0] == 0
+    small = tmp_path / "small"  # 12-point clouds: 3 points on level 1, below k = 4
+    run_cli(capsys, "gen", "--task", "cls", "--out", str(small), "--clouds", "2",
+            "--test-clouds", "1", "--points", "12", "--seed", "0")
+    code, out, err = run_cli(capsys, "eval", "--config", str(cfg_path),
+                             "--checkpoint", str(tmp_path / "tok" / "model.pmix"), "--data", str(small))
+    assert code == 2
+    assert_one_line_error(err, "layer declared K=4 but map has K=3")
+    assert out == ""
 
 
 def test_eval_missing_checkpoint_exits_3(tmp_path, capsys):

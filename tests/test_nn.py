@@ -199,6 +199,41 @@ def test_segment_softmax_rejects_malformed_offsets():
         nn.segment_softmax(Tensor([1.0, 2.0]), [1, 2])
 
 
+# -- segment max -------------------------------------------------------------------
+
+
+def test_segment_max_on_tied_integers_matches_loop_oracle():
+    rng = np.random.default_rng(8)
+    lengths = np.array([1, 3, 7, 9, 1, 14, 15])
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    vals = rng.integers(-2, 3, (int(offsets[-1]), 5)).astype(np.float64)
+    g = rng.normal(size=(len(lengths), 5))
+    v = Tensor(vals, requires_grad=True)
+    out = autodiff.segment_max(v, offsets)
+    autodiff.reduce_sum(out * Tensor(g)).backward()
+    want, want_grad = oracles.segment_max_loop(vals, offsets, g)
+    assert np.array_equal(out.data, want)
+    assert np.array_equal(v.grad, want_grad)
+
+
+def test_max_axis1_on_tied_integers_matches_loop_oracle():
+    rng = np.random.default_rng(9)
+    vals = rng.integers(-2, 3, (6, 4, 5)).astype(np.float64)
+    g = rng.normal(size=(6, 5))
+    a = Tensor(vals, requires_grad=True)
+    out = autodiff.max_axis1(a)
+    autodiff.reduce_sum(out * Tensor(g)).backward()
+    want, want_grad = oracles.segment_max_loop(vals.reshape(24, 5), np.arange(7) * 4, g)
+    assert np.array_equal(out.data, want)
+    assert np.array_equal(a.grad, want_grad.reshape(6, 4, 5))
+
+
+@pytest.mark.parametrize("offsets", [[0, 2], [1, 3], [0, 3, 2, 3], [0, 1, 4], [[0, 3]], []])
+def test_segment_max_rejects_malformed_offsets(offsets):
+    with pytest.raises(ValueError, match="malformed CSR offsets"):
+        autodiff.segment_max(Tensor(np.zeros((3, 2))), offsets)
+
+
 # -- gather / scatter ------------------------------------------------------------
 
 

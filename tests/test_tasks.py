@@ -4,6 +4,8 @@ import pytest
 from pointmixer import autodiff, net, nn, tasks
 from pointmixer.autodiff import Tensor
 
+import oracles
+
 
 # -- dataset generation ----------------------------------------------------------
 
@@ -15,6 +17,15 @@ def test_sphere_samples_stay_near_surface():
     radii = np.linalg.norm(pts, axis=1)
     # jitter vector norm is capped at 2.5 sigma, so radial error < 3 sigma
     assert np.all(np.abs(radii - 1.0) < 3 * sigma)
+
+
+@pytest.mark.parametrize("n", [0, 7, 512, 2048])
+def test_cube_samples_match_the_per_point_loop(n):
+    for half in (0.8, 0.5):
+        pts, normals = tasks._sample_cube(nn.Rng(n), n, half)
+        want_pts, want_normals = oracles.sample_cube_loop(nn.Rng(n), n, half)
+        assert np.array_equal(pts, want_pts)
+        assert np.array_equal(normals, want_normals)
 
 
 def test_cls_clouds_carry_roundrobin_labels():
@@ -246,6 +257,19 @@ def test_train_rejects_undersized_clouds():
     network.config.k = 40
     with pytest.raises(ValueError):
         tasks.train(network, ds, tasks.Schedule(epochs=1), epochs=1, batch=2, rng=nn.Rng(0))
+
+
+def test_train_rejects_tokenmlp_blocks_on_a_level_with_fewer_than_k_points():
+    ds, _ = small_cls_setup()  # 48-point clouds: levels of 48, 12 and 3 points below
+    levels = [net.LevelSpec(8, 1, 1.0), net.LevelSpec(8, 1, 0.25), net.LevelSpec(8, 1, 0.25)]
+    cfg = net.NetworkConfig(levels=levels, head=net.ClassificationHead(3), k=4, in_channels=6,
+                            variant="tokenmlp", use_inter=False)
+    with pytest.raises(tasks.CloudsTooSmall, match="keep 3 points at level 2"):
+        tasks.train(net.build_network(cfg, nn.Rng(0)), ds, tasks.Schedule(epochs=1),
+                    epochs=1, batch=2, rng=nn.Rng(0))
+    levels[2].blocks = 0  # a level without blocks runs no token MLP
+    tasks.train(net.build_network(cfg, nn.Rng(0)), ds, tasks.Schedule(epochs=1),
+                epochs=1, batch=2, rng=nn.Rng(0))
 
 
 def test_training_deterministic_given_seed():
