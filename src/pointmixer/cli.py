@@ -2,10 +2,11 @@
 checking, operator benchmarks, and receptive-field analysis.
 
 Exit codes: 0 success, 2 usage error (bad flags, mismatched head/task,
-clouds with fewer points than the network's k needs), 3 I/O failure
-(unreadable data, config or checkpoint, or a network whose output on the
-evaluated data is non-finite), 4 non-finite training loss or non-finite
-output on the test split after training.
+a network the config cannot build, such as token-MLP mixing with
+inter-set mixing on, clouds with fewer points than the network's k
+needs), 3 I/O failure (unreadable data, config or checkpoint, or a
+network whose output on the evaluated data is non-finite), 4 non-finite
+training loss or non-finite output on the test split after training.
 The PMIX_SEED environment variable overrides data.seed everywhere.
 """
 
@@ -92,8 +93,10 @@ def _head_for(task: str, classes: int, dropout: float):
     return net.DenseHead(3)
 
 
-def _network_from_config(cfg: config_mod.Config, dataset: tasks.Dataset,
-                         use_intra=None, use_inter=None, use_hier=None) -> net.Network:
+def _network_config(cfg: config_mod.Config, dataset: tasks.Dataset,
+                    use_intra=None, use_inter=None, use_hier=None) -> net.NetworkConfig:
+    """The config's network, checked by ``NetworkConfig.validate``; a
+    network it cannot build is a usage error."""
     levels = [
         net.LevelSpec(w, b, r)
         for w, b, r in zip(cfg["net.widths"], cfg["net.blocks"], cfg["net.ratios"])
@@ -112,7 +115,15 @@ def _network_from_config(cfg: config_mod.Config, dataset: tasks.Dataset,
         reduction=cfg["net.reduction"],
         pe_width=cfg["net.pe_width"] or None,
     )
-    return net.build_network(ncfg, nn.Rng(cfg["net.seed"]))
+    try:
+        ncfg.validate()
+    except ValueError as e:
+        raise UsageError(str(e)) from e
+    return ncfg
+
+
+def _network_from_config(cfg: config_mod.Config, dataset: tasks.Dataset) -> net.Network:
+    return net.build_network(_network_config(cfg, dataset), nn.Rng(cfg["net.seed"]))
 
 
 def _schedule_from_config(cfg: config_mod.Config) -> tasks.Schedule:
@@ -165,11 +176,12 @@ GRID = list(itertools.product((False, True), repeat=3))  # (intra, inter, hier) 
 
 def _ablation_grid(cfg: config_mod.Config, dataset: tasks.Dataset, out_dir: str) -> int:
     metric_key = {"cls": "oa", "seg": "miou", "recon": "cd"}[dataset.spec.task]
+    # every cell's network is checked before the first one trains
+    configs = [_network_config(cfg, dataset, use_intra=i, use_inter=j, use_hier=h) for i, j, h in GRID]
     rows = []
     print(f"intra inter hier  {metric_key}")
-    for use_intra, use_inter, use_hier in GRID:
-        network = _network_from_config(cfg, dataset,
-                                       use_intra=use_intra, use_inter=use_inter, use_hier=use_hier)
+    for (use_intra, use_inter, use_hier), ncfg in zip(GRID, configs):
+        network = net.build_network(ncfg, nn.Rng(cfg["net.seed"]))
         try:
             _run_training(cfg, dataset, network)
             report = _eval_split(network, dataset, "test" if dataset.test else "train")

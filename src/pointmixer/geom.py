@@ -1,10 +1,10 @@
 """Deterministic point-set geometry kernels.
 
 kNN index maps, their compressed-sparse inverses, farthest point sampling,
-relative positions, and the resolution hierarchy the network reuses for
-symmetric up-sampling. Everything here is exact and tie-stable: distances
-tie-break by ascending point index, so identical inputs always produce
-bit-identical index structures.
+and the resolution hierarchy the network reuses for symmetric up-sampling,
+all taking (N, 3) position arrays. Everything here is exact and
+tie-stable: distances tie-break by ascending point index, so identical
+inputs always produce bit-identical index structures.
 
 One squared-distance expression, ``_sq_dist``, serves the whole module:
 ``(dx² + dz²) + dy²`` with in-place ufuncs on contiguous x, y and z
@@ -52,7 +52,6 @@ __all__ = [
     "nearest_samples",
     "up_edges",
     "fps",
-    "relative_positions",
     "build_hierarchy",
     "level_sizes",
     "lexmin_index",
@@ -283,15 +282,15 @@ def _search(src: np.ndarray, qry: np.ndarray, k: int) -> tuple[np.ndarray, np.nd
     return idx, d2
 
 
-def knn(sources: PointCloud | np.ndarray, queries: PointCloud | np.ndarray, k: int) -> NeighborMap:
+def knn(sources: np.ndarray, queries: np.ndarray, k: int) -> NeighborMap:
     """Exact k-nearest-neighbor index map under Euclidean distance.
 
-    Rows sort ascending by distance with ties broken by ascending source
-    index; equivalent to a brute-force distance sort regardless of size.
+    Rows sort ascending by the squared distance ``_sq_dist`` computes, ties
+    broken by ascending source index (``_search``), at every size.
     """
     global _knn_calls
-    src = sources.positions if isinstance(sources, PointCloud) else np.asarray(sources, dtype=np.float64)
-    qry = queries.positions if isinstance(queries, PointCloud) else np.asarray(queries, dtype=np.float64)
+    src = np.asarray(sources, dtype=np.float64)
+    qry = np.asarray(queries, dtype=np.float64)
     if src.ndim != 2 or qry.ndim != 2 or len(src) == 0 or len(qry) == 0:
         raise ValueError("empty input")
     if not (1 <= k <= len(src)):
@@ -374,7 +373,7 @@ def up_edges(inv: InverseNeighborMap, fallback: np.ndarray) -> Edges:
     return Edges(np.repeat(np.arange(inv.source_count, dtype=np.int64), np.diff(offsets)), src, offsets)
 
 
-def fps(points: PointCloud | np.ndarray, m: int, start: int = 0) -> np.ndarray:
+def fps(points: np.ndarray, m: int, start: int = 0) -> np.ndarray:
     """Greedy max-min farthest point sampling.
 
     The first pick is ``start``; each next pick maximizes the minimum
@@ -382,7 +381,7 @@ def fps(points: PointCloud | np.ndarray, m: int, start: int = 0) -> np.ndarray:
     selected, ties broken by ascending index. Each pick updates the minima
     column by column in two N-buffers allocated once per call.
     """
-    cols = _columns(points.positions if isinstance(points, PointCloud) else points)
+    cols = _columns(points)
     n = len(cols[0])
     if not (1 <= m <= n):
         raise ValueError(f"m={m} out of range for {n} points")
@@ -398,17 +397,6 @@ def fps(points: PointCloud | np.ndarray, m: int, start: int = 0) -> np.ndarray:
             selected[i] = nxt
             np.minimum(mindist, _sq_dist(cols, [c[nxt] for c in cols], d, tmp), out=mindist)
     return selected
-
-
-def relative_positions(
-    queries: PointCloud | np.ndarray, sources: PointCloud | np.ndarray, m: NeighborMap
-) -> np.ndarray:
-    """(N, k, 3) array of p_query - p_neighbor for every map entry."""
-    qry = queries.positions if isinstance(queries, PointCloud) else np.asarray(queries, dtype=np.float64)
-    src = sources.positions if isinstance(sources, PointCloud) else np.asarray(sources, dtype=np.float64)
-    if m.indices.size and (m.indices.min() < 0 or m.indices.max() >= len(src)):
-        raise IndexError("neighbor index out of range")
-    return qry[:, None, :] - src[m.indices]
 
 
 def lexmin_index(positions: np.ndarray) -> int:
@@ -461,9 +449,7 @@ def level_sizes(n: int, ratios) -> list[int]:
     return sizes
 
 
-def build_hierarchy(
-    points: PointCloud | np.ndarray, ratios, k, start: int = 0
-) -> Hierarchy:
+def build_hierarchy(points: np.ndarray, ratios, k, start: int = 0) -> Hierarchy:
     """Build the FPS/kNN resolution pyramid reused for symmetric up-sampling.
 
     A leading ratio of 1.0 denotes the identity level; when the first ratio
@@ -473,7 +459,7 @@ def build_hierarchy(
     a single count or one per level. Sampling and searches rank in float64;
     level positions keep the dtype of ``as_positions(points)``.
     """
-    pos = as_positions(points.positions if isinstance(points, PointCloud) else points)
+    pos = as_positions(points)
     ratios = list(ratios)
     if not ratios:
         raise ValueError("at least one ratio required")

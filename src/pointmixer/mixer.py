@@ -6,9 +6,12 @@ The central layer scores each (query, neighbor) edge with a scalar
 ``g2([g1(x_j); delta(p_i - p_j)])``, normalizes the scores per query with a
 softmax over the neighbor axis, and sums ``g3(x_j)`` under those weights.
 Every map hands the kernel its one ``geom.Edges`` (``map.edges``, or
-``geom.up_edges`` for up-sampling), built in ``geom``, never here. Because
-the softmax runs over those CSR segments, one kernel serves fixed-K forward
-maps, variable-cardinality inverse maps, and hierarchy transitions.
+``geom.up_edges`` for up-sampling), built in ``geom``, never here.
+Up-sampling takes the nearest-sample fallback stored with the hierarchy
+level (``HierarchyLevel.up_fallback``), so no layer in this module runs a
+neighbor search. Because the softmax runs over those CSR segments, one
+kernel serves fixed-K forward maps, variable-cardinality inverse maps, and
+hierarchy transitions.
 
 Work that depends on ``x_j`` alone runs once per source point, not once per
 edge: a linear layer commutes with a row gather, so ``g1``, ``g3`` and the
@@ -47,11 +50,10 @@ from .autodiff import (
     slice_last,
     transpose_last2,
 )
-from .geom import Edges, InverseNeighborMap, NeighborMap, as_positions, nearest_samples, up_edges
+from .geom import Edges, InverseNeighborMap, NeighborMap, as_positions, up_edges
 from .nn import LayerNorm, Linear, Mlp2, ParamStore, Rng
 
 __all__ = [
-    "PositionalEncoder",
     "PointMixerParams",
     "MixerBlockParams",
     "MaxPoolParams",
@@ -78,31 +80,18 @@ class VariableCardinalityError(ValueError):
 
 
 @dataclass
-class PositionalEncoder:
-    """Two-layer MLP over relative positions: 3 -> width -> width."""
-
-    mlp: Mlp2
-
-    @classmethod
-    def create(cls, store: ParamStore, name: str, width: int, rng: Rng) -> "PositionalEncoder":
-        return cls(Mlp2.create(store, name, (3, width, width), rng))
-
-    def __call__(self, rel) -> Tensor:
-        return self.mlp(as_tensor(rel))
-
-
-@dataclass
 class PointMixerParams:
     """Channel MLPs of one softmax mixing layer.
 
     g1 embeds neighbor features, g2 maps [g1(x_j); delta(p_i - p_j)] to one
-    scalar score per edge, g3 produces the values that get mixed.
+    scalar score per edge, g3 produces the values that get mixed. delta is
+    a two-layer MLP over relative positions: 3 -> pe -> pe.
     """
 
-    g1: Linear | Mlp2
+    g1: Linear
     g2: Mlp2
     g3: Linear
-    delta: PositionalEncoder
+    delta: Mlp2
     width: int
     pe_width: int
 
@@ -115,16 +104,12 @@ class PointMixerParams:
         rng: Rng,
         pe_width: int | None = None,
         reduction: int = 4,
-        g1_hidden: int | None = None,
     ) -> "PointMixerParams":
         pe = pe_width if pe_width else width
-        if g1_hidden:
-            g1 = Mlp2.create(store, f"{name}.g1", (width, g1_hidden, width), rng)
-        else:
-            g1 = Linear.create(store, f"{name}.g1", width, width, rng)
+        g1 = Linear.create(store, f"{name}.g1", width, width, rng)
         g2 = Mlp2.create(store, f"{name}.g2", (width + pe, max(1, width // reduction), 1), rng)
         g3 = Linear.create(store, f"{name}.g3", width, width, rng)
-        delta = PositionalEncoder.create(store, f"{name}.delta", pe, rng)
+        delta = Mlp2.create(store, f"{name}.delta", (3, pe, pe), rng)
         return cls(g1, g2, g3, delta, width, pe)
 
 
@@ -151,7 +136,7 @@ def _softmax_mix_edges(
     """
     _check_width(x_src, params.width)
     fc1, c = params.g2.fc1, params.width
-    pe1, pe2 = params.delta.mlp.fc1, params.delta.mlp.fc2
+    pe1, pe2 = params.delta.fc1, params.delta.fc2
     w_pos = slice_last(fc1.W, c, c + params.pe_width)
     hidden = linear(params.g1(x_src), slice_last(fc1.W, 0, c), linear(pe2.b, w_pos, fc1.b))
     src, offsets = edges.src, edges.offsets
@@ -191,21 +176,19 @@ def hier_up_mix(
     inv_os: InverseNeighborMap,
     params: PointMixerParams,
     skip,
-    fallback: np.ndarray | None = None,
+    fallback: np.ndarray,
 ) -> Tensor:
     """Spread sampled-level features back to the original level by reusing
-    the inverted down-sampling map; the result is added to the skip features.
+    the inverted down-sampling map; the result is added to the skip features
+    (``skip=None`` returns the mix alone).
 
     Original points absent from every sampled neighborhood fall back to
     their single nearest sampled point (singleton segment, weight 1; see
-    ``geom.up_edges``). ``fallback`` may carry those precomputed
-    nearest-sample indices (-1 for covered rows, as in
-    ``HierarchyLevel.up_fallback``) so no search happens at decode time;
-    without it ``geom.nearest_samples`` runs once per call.
+    ``geom.up_edges``). ``fallback`` carries those nearest-sample indices,
+    -1 for covered rows: ``HierarchyLevel.up_fallback``, found once when
+    ``geom.build_hierarchy`` builds the level. This layer runs no search.
     """
     pos_s, pos_o = as_positions(pos_s), as_positions(pos_o)
-    if fallback is None:
-        fallback = nearest_samples(inv_os, pos_s, pos_o)
     mixed = _softmax_mix_edges(as_tensor(x_s), pos_o, pos_s, up_edges(inv_os, fallback), params)
     if skip is None:
         return mixed
@@ -238,7 +221,7 @@ class VectorAttentionParams:
     w2: Linear
     w3: Linear
     psi: Mlp2
-    delta: PositionalEncoder
+    delta: Mlp2
     width: int
 
     @classmethod
@@ -248,16 +231,16 @@ class VectorAttentionParams:
             Linear.create(store, f"{name}.w2", width, width, rng),
             Linear.create(store, f"{name}.w3", width, width, rng),
             Mlp2.create(store, f"{name}.psi", (width, width, width), rng),
-            PositionalEncoder.create(store, f"{name}.delta", width, rng),
+            Mlp2.create(store, f"{name}.delta", (3, width, width), rng),
             width,
         )
 
 
 @dataclass
 class TokenMlpParams:
-    """Token-mixing then channel-mixing MLPs over a gathered fixed-K
-    neighborhood, averaged back to one vector per query. Positional
-    encoding is off by default; ``delta`` switches it on."""
+    """Token-mixing (k -> 2k -> k) then channel-mixing (C -> 2C -> C) MLPs
+    over a gathered fixed-K neighborhood, averaged back to one vector per
+    query. It sees neighbor features only, no relative positions."""
 
     k: int
     norm1: LayerNorm
@@ -265,30 +248,16 @@ class TokenMlpParams:
     norm2: LayerNorm
     channel_mlp: Mlp2
     width: int
-    delta: PositionalEncoder | None = None
 
     @classmethod
-    def create(
-        cls,
-        store: ParamStore,
-        name: str,
-        width: int,
-        k: int,
-        rng: Rng,
-        token_hidden: int | None = None,
-        expansion: int = 2,
-        with_pos: bool = False,
-    ) -> "TokenMlpParams":
-        th = token_hidden if token_hidden else 2 * k
-        delta = PositionalEncoder.create(store, f"{name}.delta", width, rng) if with_pos else None
+    def create(cls, store: ParamStore, name: str, width: int, k: int, rng: Rng) -> "TokenMlpParams":
         return cls(
             k,
             LayerNorm.create(store, f"{name}.norm1", width),
-            Mlp2.create(store, f"{name}.token", (k, th, k), rng),
+            Mlp2.create(store, f"{name}.token", (k, 2 * k, k), rng),
             LayerNorm.create(store, f"{name}.norm2", width),
-            Mlp2.create(store, f"{name}.channel", (width, expansion * width, width), rng),
+            Mlp2.create(store, f"{name}.channel", (width, 2 * width, width), rng),
             width,
-            delta,
         )
 
 
@@ -323,10 +292,6 @@ def _token_mlp_mix(x, positions, index_map, v: TokenMlpParams) -> Tensor:
     _check_width(x, v.width)
     n, k = index_map.indices.shape
     xk = reshape(gather_rows(x, index_map.indices.ravel()), (n, k, v.width))
-    if v.delta is not None:
-        pos = as_positions(positions)
-        rel = pos[:, None, :] - pos[index_map.indices]
-        xk = xk + reshape(v.delta(rel.reshape(-1, 3)), (n, k, v.width))
     mixed = transpose_last2(v.token_mlp(transpose_last2(v.norm1(xk))))
     x1 = xk + mixed
     y = x1 + v.channel_mlp(v.norm2(x1))

@@ -237,7 +237,7 @@ def cosine_lr(epoch: int, total_epochs: int, base_lr: float) -> float:
     """Cosine annealing from base_lr at epoch 0 toward 0 at total_epochs."""
     if not 0 <= epoch < total_epochs:
         raise ValueError("epoch out of range")
-    return base_lr * (1.0 + np.cos(np.pi * epoch / total_epochs)) / 2.0
+    return float(base_lr * (1.0 + np.cos(np.pi * epoch / total_epochs)) / 2.0)
 
 
 def step_lr(epoch: int, milestones, base_lr: float, factor: float) -> float:

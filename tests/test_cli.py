@@ -200,6 +200,30 @@ def test_train_tokenmlp_on_a_deepest_level_below_k_exits_2(tmp_path, capsys):
     assert_one_line_error(err, "clouds of 512 points keep 8 points at level 3")
 
 
+@pytest.mark.parametrize("grid", [False, True])
+def test_train_tokenmlp_with_inter_set_mixing_exits_2(tmp_path, capsys, grid):
+    # --grid turns inter-set mixing on in four cells even when the config turns it off
+    inter = "false" if grid else "true"
+    cfg_path = tiny_train_config(tmp_path, **{"data.task": "seg", "data.classes": 2,
+                                              "net.variant": "tokenmlp", "net.use_inter": inter})
+    code, out, err = run_cli(capsys, "train", str(cfg_path), *(["--grid"] if grid else []))
+    assert code == 2
+    assert_one_line_error(err, "token-MLP mixing cannot run over inverse maps")
+    assert out == ""  # no grid cell trained before the check
+    assert not (tmp_path / "run" / "model.pmix").exists()
+    assert not (tmp_path / "run" / "grid.csv").exists()
+
+
+def test_train_cosine_log_writes_lr_as_plain_floats(tmp_path, capsys):
+    cfg_path = tiny_train_config(tmp_path, "cos", **{"train.schedule": "cosine", "train.epochs": 3})
+    assert run_cli(capsys, "train", str(cfg_path))[0] == 0
+    rows = (tmp_path / "cos" / "log.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3
+    for row in rows:
+        field = row.split(",")[1]
+        assert repr(float(field)) == field
+
+
 # -- eval ------------------------------------------------------------------------
 
 
@@ -249,6 +273,17 @@ def test_eval_tokenmlp_on_clouds_too_small_for_k_exits_2(tmp_path, capsys):
                              "--checkpoint", str(tmp_path / "tok" / "model.pmix"), "--data", str(small))
     assert code == 2
     assert_one_line_error(err, "layer declared K=4 but map has K=3")
+    assert out == ""
+
+
+def test_eval_tokenmlp_with_inter_set_mixing_exits_2(tmp_path, capsys):
+    _, ckpt, data_dir = eval_fixture(tmp_path, capsys)
+    cfg_path = tiny_train_config(tmp_path, "tokinter", **{"data.dir": str(data_dir),
+                                                          "net.variant": "tokenmlp"})
+    code, out, err = run_cli(capsys, "eval", "--config", str(cfg_path),
+                             "--checkpoint", str(ckpt), "--data", str(data_dir))
+    assert code == 2
+    assert_one_line_error(err, "token-MLP mixing cannot run over inverse maps")
     assert out == ""
 
 

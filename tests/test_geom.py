@@ -463,32 +463,6 @@ def test_fps_matches_greedy_oracle(seed):
     assert np.array_equal(geom.fps(pts, m, start), oracles.fps_indices(pts, m, start))
 
 
-# -- relative positions ----------------------------------------------------------
-
-
-def test_relative_positions_self_and_direct():
-    pts = np.array([[1.0, 0, 0], [0.0, 0, 0]])
-    m = geom.NeighborMap(np.array([[0, 1], [1, 0]]), source_count=2)
-    rel = geom.relative_positions(pts, pts, m)
-    assert np.allclose(rel[0, 0], [0, 0, 0])
-    assert np.allclose(rel[0, 1], [1, 0, 0])
-
-
-def test_relative_positions_matches_gather_subtract():
-    rng = np.random.default_rng(5)
-    pts = random_cloud(rng, 8)
-    m = geom.knn(pts, pts, 3)
-    rel = geom.relative_positions(pts, pts, m)
-    assert np.array_equal(rel, oracles.relative_positions(pts, pts, m.indices))
-
-
-def test_relative_positions_index_check():
-    pts = np.zeros((2, 3))
-    bad = geom.NeighborMap(np.array([[5], [0]]), source_count=2)
-    with pytest.raises(IndexError):
-        geom.relative_positions(pts, pts, bad)
-
-
 # -- hierarchy -------------------------------------------------------------------
 
 

@@ -153,7 +153,7 @@ def test_hier_up_identity_map_is_g3():
     x = rng.normal(size=(4, 3))
     pts = rng.normal(size=(4, 3))
     inv = geom.invert_map(geom.NeighborMap(np.arange(4)[:, None], source_count=4))
-    y = mixer.hier_up_mix(Tensor(x), pts, pts, inv, p, skip=None)
+    y = mixer.hier_up_mix(Tensor(x), pts, pts, inv, p, skip=None, fallback=geom.nearest_samples(inv, pts, pts))
     assert np.allclose(y.data, x @ p.g3.W.data.T + p.g3.b.data, atol=1e-12)
 
 
@@ -165,7 +165,8 @@ def test_hier_up_fallback_to_nearest_sample():
     inv = geom.invert_map(m)
     assert [inv.row(i).tolist() for i in range(3)] == [[0], [], []]
     x_s = np.array([[0.5, -1.5]])
-    y = mixer.hier_up_mix(Tensor(x_s), pts_s, pts_o, inv, p, skip=Tensor(np.zeros((3, 2))))
+    y = mixer.hier_up_mix(Tensor(x_s), pts_s, pts_o, inv, p, skip=Tensor(np.zeros((3, 2))),
+                          fallback=geom.nearest_samples(inv, pts_s, pts_o))
     g3 = x_s @ p.g3.W.data.T + p.g3.b.data
     # uncovered rows 1 and 2 fall back to the only sample with weight 1
     assert np.allclose(y.data, np.repeat(g3, 3, axis=0), atol=1e-12)
@@ -177,14 +178,14 @@ def test_hier_up_counts_its_own_fallback_search():
     pts_o = rng.uniform(-1, 1, (9, 3))
     x_s = Tensor(rng.normal(size=(3, 3)))
     outputs = []
-    for use_stored, searches in ((False, 1), (True, 0)):
+    for use_stored in (False, True):
         # a fresh hierarchy each time, so neither call can reuse the other's maps
         lv = geom.build_hierarchy(pts_o, [1.0 / 3.0], k=1).levels[1]
         assert np.any(lv.down_inverse.row_lengths() == 0)
+        fallback = lv.up_fallback if use_stored else geom.nearest_samples(lv.down_inverse, lv.positions, pts_o)
         before = geom.knn_call_count()
-        y = mixer.hier_up_mix(x_s, lv.positions, pts_o, lv.down_inverse, p, skip=None,
-                              fallback=lv.up_fallback if use_stored else None)
-        assert geom.knn_call_count() - before == searches
+        y = mixer.hier_up_mix(x_s, lv.positions, pts_o, lv.down_inverse, p, skip=None, fallback=fallback)
+        assert geom.knn_call_count() - before == 0
         outputs.append(y.data)
     assert np.array_equal(outputs[0], outputs[1])
 
@@ -571,33 +572,6 @@ def test_gradcheck_hier_up_with_fallback_rows():
     assert nn.check_gradient(f, params, h=1e-5) < 1e-4
 
 
-def test_g1_mlp_option_matches_oracle():
-    store = nn.ParamStore()
-    p = mixer.PointMixerParams.create(store, "mix", 4, nn.Rng(2), g1_hidden=6)
-    assert isinstance(p.g1, nn.Mlp2)
-    rng = np.random.default_rng(30)
-    pts = rng.uniform(-1, 1, (9, 3))
-    x = rng.normal(size=(9, 4))
-    m = geom.knn(pts, pts, 3)
-    y = mixer.intra_set_mix(Tensor(x), pts, m, p)
-    expected = oracles.softmax_mix_rows(x, pts, pts, m.indices, store.state(), "mix")
-    assert np.allclose(y.data, expected, atol=1e-10)
-
-
-def test_tokenmlp_positional_flag_changes_output():
-    pts = np.random.default_rng(31).uniform(-1, 1, (6, 3))
-    x = Tensor(np.random.default_rng(32).normal(size=(6, 4)))
-    m = geom.knn(pts, pts, 3)
-    s1 = nn.ParamStore()
-    plain = mixer.TokenMlpParams.create(s1, "v", 4, 3, nn.Rng(5), with_pos=False)
-    s2 = nn.ParamStore()
-    with_pos = mixer.TokenMlpParams.create(s2, "v", 4, 3, nn.Rng(5), with_pos=True)
-    assert s2.param_count() > s1.param_count()
-    y1 = mixer.variant_mix(x, pts, m, plain).data
-    y2 = mixer.variant_mix(x, pts, m, with_pos).data
-    assert not np.allclose(y1, y2)
-
-
 # -- per-point projections against the per-edge formula ------------------------------
 
 
@@ -647,7 +621,8 @@ def test_mixing_layers_keep_float32():
     for mix in (lambda: mixer.intra_set_mix(x, pts, m, p),
                 lambda: mixer.inter_set_mix(x, pts, geom.invert_map(m), p),
                 lambda: mixer.hier_down_mix(x, pts, sub, down, p),
-                lambda: mixer.hier_up_mix(xs, sub, pts, geom.invert_map(down), p, skip=None)):
+                lambda: mixer.hier_up_mix(xs, sub, pts, geom.invert_map(down), p, skip=None,
+                                          fallback=geom.nearest_samples(geom.invert_map(down), sub, pts))):
         store.zero_grad()
         out = mix()
         autodiff.reduce_sum(out).backward()
@@ -660,11 +635,10 @@ def coincident_cloud(rng, copies=32, others=64):
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("g1_hidden", [None, 5])
-def test_softmax_kernel_matches_per_edge_formula_on_same_level_maps(seed, g1_hidden):
+def test_softmax_kernel_matches_per_edge_formula_on_same_level_maps(seed):
     rng = np.random.default_rng(600 + seed)
     store = nn.ParamStore()
-    p = mixer.PointMixerParams.create(store, "mix", 4, nn.Rng(seed), pe_width=6, g1_hidden=g1_hidden)
+    p = mixer.PointMixerParams.create(store, "mix", 4, nn.Rng(seed), pe_width=6)
     for pts in (rng.uniform(-1, 1, (24, 3)), coincident_cloud(rng, 8, 16)):
         n = len(pts)
         x = Tensor(rng.normal(size=(n, 4)), requires_grad=True)
@@ -707,7 +681,7 @@ def test_softmax_kernel_applies_no_delta_output_layer_per_edge():
     pts = rng.uniform(-1, 1, (20, 3))
     m = geom.knn(pts, pts, 4)
     out = mixer.intra_set_mix(Tensor(rng.normal(size=(20, 4)), requires_grad=True), pts, m, p)
-    l2_W = p.delta.mlp.fc2.W
+    l2_W = p.delta.fc2.W
     seen, stack, uses = set(), [out], []
     while stack:
         node = stack.pop()
