@@ -93,8 +93,7 @@ def _head_for(task: str, classes: int, dropout: float):
     return net.DenseHead(3)
 
 
-def _network_config(cfg: config_mod.Config, dataset: tasks.Dataset,
-                    use_intra=None, use_inter=None, use_hier=None) -> net.NetworkConfig:
+def _network_config(cfg: config_mod.Config, dataset: tasks.Dataset) -> net.NetworkConfig:
     """The config's network, checked by ``NetworkConfig.validate``; a
     network it cannot build is a usage error."""
     levels = [
@@ -107,9 +106,9 @@ def _network_config(cfg: config_mod.Config, dataset: tasks.Dataset,
         head=_head_for(dataset.spec.task, dataset.spec.classes, cfg["net.dropout"]),
         k=cfg["net.k"],
         in_channels=in_channels,
-        use_intra=cfg["net.use_intra"] if use_intra is None else use_intra,
-        use_inter=cfg["net.use_inter"] if use_inter is None else use_inter,
-        use_hier=cfg["net.use_hier"] if use_hier is None else use_hier,
+        use_intra=cfg["net.use_intra"],
+        use_inter=cfg["net.use_inter"],
+        use_hier=cfg["net.use_hier"],
         variant=cfg["net.variant"],
         expansion=cfg["net.expansion"],
         reduction=cfg["net.reduction"],
@@ -177,7 +176,8 @@ GRID = list(itertools.product((False, True), repeat=3))  # (intra, inter, hier) 
 def _ablation_grid(cfg: config_mod.Config, dataset: tasks.Dataset, out_dir: str) -> int:
     metric_key = {"cls": "oa", "seg": "miou", "recon": "cd"}[dataset.spec.task]
     # every cell's network is checked before the first one trains
-    configs = [_network_config(cfg, dataset, use_intra=i, use_inter=j, use_hier=h) for i, j, h in GRID]
+    configs = [_network_config(cfg.with_overrides(net__use_intra=i, net__use_inter=j, net__use_hier=h), dataset)
+               for i, j, h in GRID]
     rows = []
     print(f"intra inter hier  {metric_key}")
     for (use_intra, use_inter, use_hier), ncfg in zip(GRID, configs):

@@ -77,9 +77,6 @@ class Config:
     def __getitem__(self, key: str):
         return self.values[key]
 
-    def __eq__(self, other):
-        return isinstance(other, Config) and self.values == other.values
-
     def with_overrides(self, **pairs) -> "Config":
         out = dict(self.values)
         for key, value in pairs.items():

@@ -16,11 +16,11 @@ equal those of the earlier einsum-based code, but other numpy versions may
 order that reduction differently.
 
 Every neighbour search (``knn``, ``nearest`` and the hierarchy fallbacks)
-runs through one routine, ``_search``: a KD-tree proposes k + 1
-candidates per row, their squared distances are recomputed exactly and
-re-ranked, rows that might hide a tie beyond the candidates ask again for
-k + 8, and only rows still unsure fall back to a dense search in bounded
-row blocks. No full N x M distance matrix is built.
+runs through one routine, ``_search``, and ``knn_call_count`` counts each
+run: a KD-tree proposes k + 1 candidates per row, their squared distances
+are recomputed exactly and re-ranked, rows that might hide a tie beyond the
+candidates ask again for k + 8, and only rows still unsure fall back to a
+dense search in bounded row blocks. No full N x M distance matrix is built.
 
 Every index map exposes one CSR edge list, ``map.edges`` (an ``Edges``),
 built here once per map; up-sampling adds the ``nearest_samples`` fallback
@@ -69,7 +69,9 @@ COORD_LIMIT = 1e150
 
 
 def knn_call_count() -> int:
-    """Total knn() invocations so far (instrumentation for decode audits)."""
+    """Total neighbour searches so far, one per ``_search`` run (``knn``,
+    ``nearest`` and the hierarchy fallbacks); instrumentation for decode
+    audits."""
     return _knn_calls
 
 
@@ -92,15 +94,18 @@ def check_coordinates(positions: np.ndarray):
 
 @dataclass
 class PointCloud:
-    """Positions plus per-point feature channels and optional labels."""
+    """Positions plus per-point feature channels and optional labels: the one
+    cloud type the network's forwards take. Positions and features follow
+    ``as_positions`` (float32 stays float32, anything else becomes float64);
+    ``validate`` is the check a forward runs."""
 
     positions: np.ndarray  # (N, 3)
     features: np.ndarray  # (N, C); C may be 0
     labels: np.ndarray | None = None  # (N,) ints
 
     def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=np.float64)
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.positions = as_positions(self.positions)
+        self.features = as_positions(self.features)
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
 
@@ -248,6 +253,8 @@ def _search(src: np.ndarray, qry: np.ndarray, k: int) -> tuple[np.ndarray, np.nd
     may hide a tie beyond the candidates, so it goes on to the next tier, and
     rows still unsure after the second take the dense search.
     """
+    global _knn_calls
+    _knn_calls += 1
     idx = np.empty((len(qry), k), dtype=np.int64)
     d2 = np.empty((len(qry), k))
     rows = np.arange(len(qry))
@@ -288,7 +295,6 @@ def knn(sources: np.ndarray, queries: np.ndarray, k: int) -> NeighborMap:
     Rows sort ascending by the squared distance ``_sq_dist`` computes, ties
     broken by ascending source index (``_search``), at every size.
     """
-    global _knn_calls
     src = np.asarray(sources, dtype=np.float64)
     qry = np.asarray(queries, dtype=np.float64)
     if src.ndim != 2 or qry.ndim != 2 or len(src) == 0 or len(qry) == 0:
@@ -297,7 +303,6 @@ def knn(sources: np.ndarray, queries: np.ndarray, k: int) -> NeighborMap:
         raise ValueError(f"k={k} out of range for {len(src)} source points")
     if not (np.all(np.isfinite(src)) and np.all(np.isfinite(qry))):
         raise ValueError("non-finite coordinates")
-    _knn_calls += 1
     return NeighborMap(_search(src, qry, k)[0], source_count=len(src))
 
 

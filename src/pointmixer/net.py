@@ -6,6 +6,9 @@ down-sampling maps in reverse (their CSR inverses), so no neighbor search
 ever runs while decoding. Setting ``use_hier=False`` swaps the transitions
 for the asymmetric baseline: max-pool down, 3-nearest inverse-square-distance
 interpolation up, the latter rebuilding a kNN map at decode time.
+
+The forwards take a ``geom.PointCloud`` and run its ``validate`` first, the
+one input check; ``Network.prepare`` and the mixing layers take arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .autodiff import (
     reduce_mean,
     segment_max,
 )
-from .geom import HierarchyLevel, InverseNeighborMap, NeighborMap
+from .geom import HierarchyLevel, InverseNeighborMap, NeighborMap, PointCloud
 from .mixer import MixerBlockParams, PointMixerParams, mixer_block, hier_down_mix, hier_up_mix
 from .nn import LayerNorm, Linear, ParamStore, Rng, dropout
 
@@ -268,33 +271,18 @@ def _encode(net: Network, plan: Plan, feats):
     return x, skips
 
 
-def _cloud_inputs(cloud):
-    """Positions and features of a PointCloud, or of a bare (N, 3) position
-    array that doubles as its features. Raises ValueError on an empty cloud,
-    on non-finite positions or features (one NaN would otherwise spread
-    through the softmax mixing into every output row), and on coordinates
-    beyond ``geom.COORD_LIMIT``, whose squared distances would overflow."""
-    positions = cloud.positions if hasattr(cloud, "positions") else np.asarray(cloud)
-    feats = cloud.features if hasattr(cloud, "features") else positions
-    if len(positions) == 0:
-        raise ValueError("empty cloud")
-    geom.check_coordinates(positions)
-    if not np.all(np.isfinite(as_tensor(feats).data)):
-        raise ValueError("non-finite features")
-    return positions, feats
-
-
-def forward_classify(net: Network, cloud, plan: Plan | None = None,
+def forward_classify(net: Network, cloud: PointCloud, plan: Plan | None = None,
                      training: bool = False, rng: Rng | None = None) -> Tensor:
     """Encoder-only pass, mean pooling over the deepest level, FC head.
 
-    Raises ValueError on an empty cloud, non-finite positions/features or
-    coordinates beyond ``geom.COORD_LIMIT``."""
+    Raises ``PointCloud.validate``'s ValueError on a cloud it rejects (one
+    NaN would otherwise spread through the softmax mixing into every output
+    row)."""
     if not isinstance(net.config.head, ClassificationHead):
         raise ValueError("network has no classification head")
-    positions, feats = _cloud_inputs(cloud)
-    plan = plan or net.prepare(positions)
-    x, _ = _encode(net, plan, feats)
+    cloud.validate()
+    plan = plan or net.prepare(cloud.positions)
+    x, _ = _encode(net, plan, cloud.features)
     pooled = reduce_mean(x, axis=0)
     h = gelu(net.head_fc1(pooled))
     if training:
@@ -302,20 +290,20 @@ def forward_classify(net: Network, cloud, plan: Plan | None = None,
     return net.head_fc2(h)
 
 
-def forward_dense(net: Network, cloud, plan: Plan | None = None) -> Tensor:
+def forward_dense(net: Network, cloud: PointCloud, plan: Plan | None = None) -> Tensor:
     """Full U-shaped pass producing one output row per input point.
 
     With hierarchical mixing the decoder only replays stored inverse maps;
-    ``last_decode_knn_calls`` records how many kNN searches the decode phase
-    actually ran (0 for the symmetric design). Raises ValueError on an empty
-    cloud, non-finite positions/features or coordinates beyond
-    ``geom.COORD_LIMIT``.
+    ``last_decode_knn_calls`` records how many neighbor searches the decode
+    phase actually ran (0 for the symmetric design). Raises
+    ``PointCloud.validate``'s ValueError on a cloud it rejects (one NaN would
+    otherwise spread through the softmax mixing into every output row).
     """
     if not isinstance(net.config.head, DenseHead):
         raise ValueError("network has no dense head")
-    positions, feats = _cloud_inputs(cloud)
-    plan = plan or net.prepare(positions)
-    x, skips = _encode(net, plan, feats)
+    cloud.validate()
+    plan = plan or net.prepare(cloud.positions)
+    x, skips = _encode(net, plan, cloud.features)
     calls_before = geom.knn_call_count()
     for li in range(len(net.config.levels) - 1, 0, -1):
         x = _transition_up(net, x, skips[li - 1], plan, li)

@@ -82,6 +82,13 @@ def test_knn_deterministic_and_counted():
     assert geom.knn_call_count() == before + 2
 
 
+def test_nearest_is_counted_as_one_search():
+    pts = random_cloud(np.random.default_rng(4), 64)
+    before = geom.knn_call_count()
+    geom.nearest(pts, pts)
+    assert geom.knn_call_count() == before + 1
+
+
 def dense_d2(src, qry):
     """The full squared-distance matrix in the library's own expression."""
     with np.errstate(over="ignore"):

@@ -363,8 +363,6 @@ def test_forward_rejects_coordinates_beyond_the_limit():
     for forward, network in ((net.forward_dense, dense), (net.forward_classify, classify)):
         with pytest.raises(ValueError, match="squared distances would overflow"):
             forward(network, PointCloud(pos, pos.copy()))
-        with pytest.raises(ValueError, match="squared distances would overflow"):
-            forward(network, pos)
 
 
 def test_classify_rejects_nonfinite_inputs():
@@ -372,8 +370,29 @@ def test_classify_rejects_nonfinite_inputs():
     for cloud, message in nonfinite_clouds(np.random.default_rng(13)):
         with pytest.raises(ValueError, match=message):
             net.forward_classify(network, cloud)
+    p = np.full((16, 3), np.nan)
     with pytest.raises(ValueError, match="non-finite coordinates"):
-        net.forward_classify(network, np.full((16, 3), np.nan))
+        net.forward_classify(network, PointCloud(p, p))
+
+
+def test_forwards_reject_a_cloud_with_one_feature_row_too_few():
+    dense = net.build_network(tiny_config(net.DenseHead(2)), nn.Rng(0))
+    classify = net.build_network(tiny_config(net.ClassificationHead(3)), nn.Rng(0))
+    pos = np.random.default_rng(15).uniform(-1, 1, (64, 3))
+    for forward, network in ((net.forward_dense, dense), (net.forward_classify, classify)):
+        with pytest.raises(ValueError, match="^feature row count does not match positions$"):
+            forward(network, PointCloud(pos, pos[:-1]))
+
+
+def test_float32_cloud_keeps_float32():
+    pos = np.random.default_rng(18).uniform(-1, 1, (8, 3))
+    pos32 = pos.astype(np.float32)
+    cloud = PointCloud(pos32, pos32[:, :2])
+    assert cloud.positions.dtype == cloud.features.dtype == np.float32
+    # float64 input is kept as it is; anything else becomes float64
+    cloud = PointCloud(pos, np.arange(16).reshape(8, 2))
+    assert cloud.positions is pos
+    assert cloud.features.dtype == np.float64
 
 
 def test_training_steps_on_one_plan_hold_one_graph_at_a_time():
@@ -421,5 +440,7 @@ def test_float32_positions_stay_float32_through_prepare_and_forward_dense():
         assert np.array_equal(a.indices, b.indices)
     for _, t in network.store.tensors():
         t.data = t.data.astype(np.float32)
-    assert net.forward_dense(network, pos32).data.dtype == np.float32
-    assert net.forward_dense(network, pos32, plan).data.dtype == np.float32
+    cloud = PointCloud(pos32, pos32)
+    assert cloud.positions.dtype == cloud.features.dtype == np.float32
+    assert net.forward_dense(network, cloud).data.dtype == np.float32
+    assert net.forward_dense(network, cloud, plan).data.dtype == np.float32
