@@ -31,6 +31,7 @@ import os
 import queue
 import threading
 import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -38,6 +39,7 @@ from scipy.special import erf
 
 __all__ = [
     "Tensor",
+    "Edges",
     "as_tensor",
     "no_grad",
     "set_check_finite",
@@ -69,8 +71,9 @@ __all__ = [
 # Python floats, not NumPy float64 scalars, so float32 inputs stay float32
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
-# Floats in one block buffer of ``edge_scores`` (rows = this / layer width):
-# 512 KiB in float64, 2048 rows at width 32, well inside a core's L2.
+# Floats in one block buffer of ``edge_scores`` and of ``csr_weighted_sum``'s
+# weight gradient (rows = this / layer width): 512 KiB in float64, 2048 rows
+# at width 32, well inside a core's L2.
 _EDGE_BLOCK_FLOATS = 1 << 16
 
 _grad_enabled = True
@@ -188,8 +191,14 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate(self, g):
+    def _accumulate(self, g, owned: bool = False):
+        """Add ``g`` into ``.grad``. ``owned`` says that ``g`` is a fresh
+        array nothing else holds: the first one of this shape and dtype
+        becomes ``.grad`` as it is, with no copy."""
         if self.grad is None:
+            if owned and g.shape == self.data.shape and g.dtype == self.data.dtype:
+                self.grad = g
+                return
             # copy: g may alias a child's grad buffer or a broadcast view
             self.grad = np.array(g, dtype=self.data.dtype)
             if self.grad.shape != self.data.shape:
@@ -330,8 +339,8 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def bwd(g):
-        a._accumulate(g @ b.data.T)
-        b._accumulate(a.data.T @ g)
+        a._accumulate(g @ b.data.T, owned=True)
+        b._accumulate(a.data.T @ g, owned=True)
 
     return _make(a.data @ b.data, (a, b), bwd, "matmul")
 
@@ -354,10 +363,10 @@ def linear(x, W, b=None) -> Tensor:
     def bwd(g):
         g2 = g.reshape(-1, W.data.shape[0])
         if x.requires_grad:  # a constant input (positions, raw features) needs no gradient
-            x._accumulate((g2 @ W.data).reshape(x.data.shape))
-        W._accumulate(g2.T @ x2)
+            x._accumulate((g2 @ W.data).reshape(x.data.shape), owned=True)
+        W._accumulate(g2.T @ x2, owned=True)
         if b is not None:
-            b._accumulate(g2.sum(axis=0))
+            b._accumulate(g2.sum(axis=0), owned=True)
 
     return _make(out.reshape(lead + (W.data.shape[0],)), parents, bwd, "linear")
 
@@ -401,7 +410,7 @@ def slice_last(a, start: int, stop: int) -> Tensor:
     def bwd(g):
         full = np.zeros_like(a.data)
         full[..., start:stop] = g
-        a._accumulate(full)
+        a._accumulate(full, owned=True)
 
     return _make(np.ascontiguousarray(a.data[..., start:stop]), (a,), bwd, "slice")
 
@@ -457,12 +466,79 @@ def _segment_ids(off: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(off) - 1), np.diff(off))
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a`` (``a`` itself stays as writable as it was)."""
+    view = a.view()
+    view.setflags(write=False)
+    return view
+
+
+@dataclass(frozen=True)
+class Edges:
+    """CSR edge list: edge e joins query ``dst[e]`` to source ``src[e]``, and
+    query q owns the edges ``offsets[q]:offsets[q + 1]``, so ``dst`` is each
+    edge's segment id. Fixed-K maps are the stride-k case.
+
+    Built from ``src`` and ``offsets`` and checked once, here: the offsets
+    run non-decreasing from 0 to the edge count (else ``ValueError("malformed
+    CSR offsets")``) and no source index is negative (else IndexError). The
+    arrays are read-only views. An op that takes an ``Edges`` then checks
+    only that the largest source index, ``src_stop - 1``, is within its
+    source rows."""
+
+    src: np.ndarray  # (E,) int64
+    offsets: np.ndarray  # (queries + 1,) int64
+    dst: np.ndarray = field(init=False)  # (E,) int64, ascending
+    src_stop: int = field(init=False)  # one past the largest source index, 0 without edges
+
+    def __post_init__(self):
+        src = np.asarray(self.src, dtype=np.int64)
+        off = np.asarray(self.offsets, dtype=np.int64)
+        if src.ndim != 1:
+            raise ValueError("edge sources must be a flat array")
+        _check_offsets(off, len(src))
+        if len(src) and src.min() < 0:
+            raise IndexError("edge source index out of range")
+        object.__setattr__(self, "src", _frozen(src))
+        object.__setattr__(self, "offsets", _frozen(off))
+        object.__setattr__(self, "dst", _frozen(_segment_ids(off)))
+        object.__setattr__(self, "src_stop", int(src.max()) + 1 if len(src) else 0)
+
+
+def _segments(offsets, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Checked CSR offsets over ``rows`` rows and the segment id of each row.
+    An ``Edges`` was checked when it was built and carries both; raw offsets
+    are checked here."""
+    if isinstance(offsets, Edges):
+        if len(offsets.dst) != rows:
+            raise ValueError("malformed CSR offsets")
+        return offsets.offsets, offsets.dst
+    off = np.asarray(offsets, dtype=np.int64)
+    _check_offsets(off, rows)
+    return off, _segment_ids(off)
+
+
+def _sources(src, rows: int, op: str) -> np.ndarray:
+    """Each edge's source index, checked to lie in ``[0, rows)``. An
+    ``Edges`` checked the sign when it was built, so only its ``src_stop``
+    is compared here."""
+    if isinstance(src, Edges):
+        col, bad = src.src, src.src_stop > rows
+    else:
+        col = np.asarray(src, dtype=np.int64)
+        bad = col.size and (col.min() < 0 or col.max() >= rows)
+    if bad:
+        raise IndexError(f"{op} index out of range")
+    return col
+
+
 def _accumulate_gathered(x: Tensor, idx: np.ndarray, g: np.ndarray):
     """Add the gradient ``g`` of ``x[idx]`` into ``x.grad``: rows sharing an
     index are summed by one sparse transpose product."""
     n = idx.size
-    sel = sparse.csr_array((np.ones(n, dtype=g.dtype), idx.ravel(), np.arange(n + 1)), shape=(n, x.data.shape[0]))
-    gx = (sel.T @ g.reshape(n, int(np.prod(x.data.shape[1:])))).reshape(x.data.shape)
+    # the transpose of the (n, rows) one-hot gather matrix, built as such
+    sel_t = sparse.csc_array((np.ones(n, dtype=g.dtype), idx.ravel(), np.arange(n + 1)), shape=(x.data.shape[0], n))
+    gx = (sel_t @ g.reshape(n, int(np.prod(x.data.shape[1:])))).reshape(x.data.shape)
     if x.grad is None:
         x.grad = gx.astype(x.data.dtype, copy=False)
     else:
@@ -510,40 +586,54 @@ def _segment_reduce(ufunc, values: np.ndarray, off: np.ndarray, empty=0.0) -> np
 
 
 def segment_sum(values, offsets) -> Tensor:
-    """Sum contiguous row segments given CSR ``offsets``; empty segments yield 0."""
+    """Sum contiguous row segments given CSR ``offsets`` (or an ``Edges``);
+    empty segments yield 0."""
     v = as_tensor(values)
-    off = np.asarray(offsets, dtype=np.int64)
-    _check_offsets(off, v.data.shape[0])
-    seg_ids = _segment_ids(off)
+    off, seg_ids = _segments(offsets, v.data.shape[0])
 
     def bwd(g):
-        v._accumulate(g[seg_ids])
+        v._accumulate(g[seg_ids], owned=True)
 
     return _make(_segment_reduce(np.add, v.data, off), (v,), bwd, "segment_sum")
 
 
-def csr_weighted_sum(weights, values, src, offsets) -> Tensor:
+def _edge_dots(g: np.ndarray, values: np.ndarray, e: Edges) -> np.ndarray:
+    """``<g[dst_e], values[src_e]>`` for every edge e, in g's dtype: the
+    product of the two gathered rows summed over channels, as one E x C pass
+    would give it, but over blocks of ``_EDGE_BLOCK_FLOATS / C`` edges
+    gathered into two buffers reused by every block."""
+    n, width = len(e.src), g.shape[1]
+    rows = max(1, min(n, _EDGE_BLOCK_FLOATS // max(1, width)))
+    out = np.empty(n, dtype=g.dtype)
+    gs, vs = np.empty((rows, width), dtype=g.dtype), np.empty((rows, width), dtype=values.dtype)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        # indices were checked when the edges were built; "raise" would buffer
+        prod = np.take(g, e.dst[lo:hi], axis=0, out=gs[: hi - lo], mode="clip")
+        prod *= np.take(values, e.src[lo:hi], axis=0, out=vs[: hi - lo], mode="clip")
+        np.sum(prod, axis=1, out=out[lo:hi])
+    return out
+
+
+def csr_weighted_sum(weights, values, src, offsets=None) -> Tensor:
     """``out[i] = sum_e weights[e] * values[src[e]]`` over the edges e of CSR
     segment i: the gather of ``values`` by ``src``, the per-edge scaling and
     the segment sum as one sparse (segments, rows) product ``A @ values``.
-    Empty segments yield 0. The backward is ``A^T @ g`` for the values and
-    ``<g[segment of e], values[src[e]]>`` for each edge weight."""
+    ``src`` is an ``Edges`` (then ``offsets`` is left out) or raw source
+    indices with their CSR ``offsets``, checked here. Empty segments yield
+    0. The backward is ``A^T @ g`` for the values and ``<g[segment of e],
+    values[src[e]]>`` for each edge weight (``_edge_dots``)."""
     w, v = as_tensor(weights), as_tensor(values)
-    col = np.asarray(src, dtype=np.int64)
-    off = np.asarray(offsets, dtype=np.int64)
-    if w.data.shape != col.shape or col.ndim != 1:
+    e = src if isinstance(src, Edges) else Edges(src, offsets)
+    if w.data.shape != e.src.shape:
         raise ValueError("csr_weighted_sum expects one weight per edge")
-    _check_offsets(off, len(col))
-    if col.size and (col.min() < 0 or col.max() >= v.data.shape[0]):
-        raise IndexError("csr_weighted_sum index out of range")
-    a = sparse.csr_array((w.data, col, off), shape=(len(off) - 1, v.data.shape[0]))
+    a = sparse.csr_array((w.data, _sources(e, v.data.shape[0], "csr_weighted_sum"), e.offsets),
+                         shape=(len(e.offsets) - 1, v.data.shape[0]))
 
     def bwd(g):
         if w.requires_grad:  # constant weights (the baseline's interpolation) need no gradient
-            prod = g[_segment_ids(off)]
-            prod *= v.data[col]
-            w._accumulate(prod.sum(axis=1))
-        v._accumulate(a.T @ g)
+            w._accumulate(_edge_dots(g, v.data, e), owned=True)
+        v._accumulate(a.T @ g, owned=True)
 
     return _make(a @ v.data, (w, v), bwd, "csr_weighted_sum")
 
@@ -683,7 +773,7 @@ def gelu(a) -> Tensor:
     y, slope = _gelu_parts(a.data, _records_tape((a,)))
 
     def bwd(g):
-        a._accumulate(slope * g)
+        a._accumulate(slope * g, owned=True)
 
     return _make(y, (a,), bwd, "gelu")
 
@@ -698,12 +788,12 @@ def layernorm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     xhat = centered * inv
 
     def bwd(g):
-        gamma._accumulate(_unbroadcast(g * xhat, gamma.data.shape))
+        gamma._accumulate(_unbroadcast(g * xhat, gamma.data.shape), owned=True)
         beta._accumulate(_unbroadcast(g, beta.data.shape))
         gx = g * gamma.data
         # d/dx of (x - mu) / sqrt(var + eps) with mu, var functions of x
         term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-        x._accumulate(term * inv)
+        x._accumulate(term * inv, owned=True)
 
     return _make(xhat * gamma.data + beta.data, (x, gamma, beta), bwd, "layernorm")
 
@@ -713,9 +803,10 @@ def edge_scores(hidden, src, rel, W1, b1, W_fold, w2, b2) -> Tensor:
 
         s_e = w2 . gelu(hidden[src_e] + W_fold gelu(W1 rel_e + b1)) + b2
 
-    ``hidden`` (N, H) is the per-source term, ``rel`` (E, d) a constant
-    per-edge input, ``W1`` (P, d), ``b1`` (P,), ``W_fold`` (H, P), ``w2``
-    (1, H) and ``b2`` (1,); the result has shape (E,). The edges run in
+    ``hidden`` (N, H) is the per-source term, ``src`` the edges' source
+    indices or their ``Edges``, ``rel`` (E, d) a constant per-edge input,
+    ``W1`` (P, d), ``b1`` (P,), ``W_fold`` (H, P), ``w2`` (1, H) and ``b2``
+    (1,); the result has shape (E,). The edges run in
     contiguous blocks of about ``_EDGE_BLOCK_FLOATS / max(P, H)`` rows, so
     each block's hidden layers stay in cache. With two or more blocks, the
     blocks spread over one pinned worker thread per CPU the process may use
@@ -731,15 +822,13 @@ def edge_scores(hidden, src, rel, W1, b1, W_fold, w2, b2) -> Tensor:
     ``hidden``'s per-edge gradient back per source row with one sparse
     transpose product."""
     h, W1, b1, wf, w2, b2 = (as_tensor(t) for t in (hidden, W1, b1, W_fold, w2, b2))
-    col = np.asarray(src, dtype=np.int64)
+    col = _sources(src, h.data.shape[0], "edge_scores")
     rel = np.asarray(rel)
     n_edges, width = len(col), h.data.shape[-1]
     pe = W1.data.shape[0]
     if (h.data.ndim != 2 or col.ndim != 1 or rel.shape != (n_edges, W1.data.shape[1]) or b1.data.shape != (pe,)
             or wf.data.shape != (width, pe) or w2.data.shape != (1, width) or b2.data.shape != (1,)):
         raise ValueError("edge_scores: inconsistent shapes")
-    if n_edges and (col.min() < 0 or col.max() >= h.data.shape[0]):
-        raise IndexError("edge_scores index out of range")
     dtype = np.result_type(h.data, rel, W1.data, b1.data, wf.data, w2.data, b2.data)
     rows = max(1, min(n_edges, _EDGE_BLOCK_FLOATS // max(pe, width)))
     blocks = [slice(s, min(s + rows, n_edges)) for s in range(0, n_edges, rows)]
@@ -809,11 +898,11 @@ def edge_scores(hidden, src, rel, W1, b1, W_fold, w2, b2) -> Tensor:
             g_b1 += p_b1
         if h.requires_grad:
             _accumulate_gathered(h, col, g_hidden)
-        W1._accumulate(g_W1)
-        b1._accumulate(g_b1)
-        wf._accumulate(g_wf)
-        w2._accumulate(g_w2[None, :])
-        b2._accumulate(g.sum(keepdims=True))
+        W1._accumulate(g_W1, owned=True)
+        b1._accumulate(g_b1, owned=True)
+        wf._accumulate(g_wf, owned=True)
+        w2._accumulate(g_w2[None, :], owned=True)
+        b2._accumulate(g.sum(keepdims=True), owned=True)
 
     if save and _alloc.enabled:
         # the kept arrays live as long as the backward closure: until the
@@ -825,45 +914,43 @@ def edge_scores(hidden, src, rel, W1, b1, W_fold, w2, b2) -> Tensor:
 
 
 def segment_softmax(scores, offsets) -> Tensor:
-    """Softmax within each CSR segment of a flat score vector.
+    """Softmax within each CSR segment (``offsets``, or an ``Edges``) of a
+    flat score vector.
 
     Empty segments contribute no entries; singleton segments map to 1.
     Max-subtraction keeps the exponentials bounded. A 2-D (rows, channels)
     input is normalized segment-wise per channel.
     """
     s = as_tensor(scores)
-    off = np.asarray(offsets, dtype=np.int64)
     if s.data.ndim not in (1, 2):
         raise ValueError("segment_softmax expects a flat or (rows, channels) score tensor")
-    _check_offsets(off, s.data.shape[0])
-    seg_ids = _segment_ids(off)
+    off, seg_ids = _segments(offsets, s.data.shape[0])
     seg_max = _segment_reduce(np.maximum, s.data, off, -np.inf)
     e = np.exp(s.data - seg_max[seg_ids])
     p = e / _segment_reduce(np.add, e, off)[seg_ids]
 
     def bwd(g):
         dot = _segment_reduce(np.add, p * g, off)
-        s._accumulate(p * (g - dot[seg_ids]))
+        s._accumulate(p * (g - dot[seg_ids]), owned=True)
 
     return _make(p, (s,), bwd, "segment_softmax")
 
 
 def segment_max(values, offsets) -> Tensor:
-    """Per-segment max over contiguous CSR row segments; the subgradient
-    routes to the first maximal row of each segment. Segments must be
-    non-empty."""
+    """Per-segment max over contiguous CSR row segments (``offsets``, or an
+    ``Edges``); the subgradient routes to the first maximal row of each
+    segment. Segments must be non-empty."""
     v = as_tensor(values)
-    off = np.asarray(offsets, dtype=np.int64)
     if v.data.ndim != 2:
         raise ValueError("segment_max expects (rows, channels) values")
-    _check_offsets(off, v.data.shape[0])
+    off, seg_ids = _segments(offsets, v.data.shape[0])
     if np.any(off[1:] == off[:-1]):
         raise ValueError("segment_max requires non-empty segments")
     out = _segment_reduce(np.maximum, v.data, off)
 
     def bwd(g):  # the first maximal row: the least row index that holds its segment's max
         n = len(v.data)
-        rows = np.where(v.data == out[_segment_ids(off)], np.arange(n)[:, None], n)
+        rows = np.where(v.data == out[seg_ids], np.arange(n)[:, None], n)
         full = np.zeros_like(v.data)
         np.put_along_axis(full, _segment_reduce(np.minimum, rows, off), g, axis=0)
         v._accumulate(full)

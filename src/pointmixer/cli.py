@@ -4,9 +4,11 @@ checking, operator benchmarks, and receptive-field analysis.
 Exit codes: 0 success, 2 usage error (bad flags, mismatched head/task,
 a network the config cannot build, such as token-MLP mixing with
 inter-set mixing on, clouds with fewer points than the network's k
-needs), 3 I/O failure (unreadable data, config or checkpoint, or a
-network whose output on the evaluated data is non-finite), 4 non-finite
-training loss or non-finite output on the test split after training.
+needs, a max-pool network with inter-set mixing on clouds where some
+point lies in no neighbourhood), 3 I/O failure (unreadable or
+inconsistent data, config or checkpoint, or a network whose output on
+the evaluated data is non-finite), 4 non-finite training loss or
+non-finite output on the test split after training.
 The PMIX_SEED environment variable overrides data.seed everywhere.
 """
 
@@ -577,7 +579,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (UsageError, tasks.CloudsTooSmall, mixer.VariableCardinalityError) as e:
+    except (UsageError, tasks.CloudsTooSmall, mixer.VariableCardinalityError, net.UncoveredPoints) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as e:

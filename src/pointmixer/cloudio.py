@@ -10,6 +10,7 @@ A dataset directory holds ``manifest.txt`` plus ``train/``, ``test/`` (and
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import numpy as np
@@ -20,22 +21,18 @@ from .tasks import Dataset, DatasetSpec
 __all__ = ["write_cloud", "read_cloud", "write_dataset", "read_dataset"]
 
 
-def _fmt_row(values) -> str:
-    return " ".join("%.17g" % v for v in values)
-
-
 def write_cloud(path, cloud: PointCloud):
+    """One line per point, ``%.17g`` per value and ``%d`` per label, built
+    by one ``%`` format over the whole cloud's values."""
     has_labels = 1 if cloud.labels is not None else 0
-    lines = [f"pmcloud {cloud.n} {cloud.channels} {has_labels}"]
-    for i in range(cloud.n):
-        row = _fmt_row(cloud.positions[i])
-        if cloud.channels:
-            row += " " + _fmt_row(cloud.features[i])
-        if has_labels:
-            row += f" {int(cloud.labels[i])}"
-        lines.append(row)
+    rows = np.concatenate([cloud.positions, cloud.features], axis=1).tolist()
+    if has_labels:
+        for row, label in zip(rows, cloud.labels.tolist()):
+            row.append(label)
+    line = " ".join(["%.17g"] * (3 + cloud.channels) + ["%d"] * has_labels)
+    body = "\n".join([line] * cloud.n) % tuple(itertools.chain.from_iterable(rows))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"pmcloud {cloud.n} {cloud.channels} {has_labels}\n{body}\n")
 
 
 _CHUNK = 256  # point lines converted at a time, which bounds the temporary strings
@@ -157,11 +154,18 @@ def read_dataset(in_dir) -> Dataset:
         entries = [line.strip() for line in fh if line.strip()]
     splits: dict[str, list] = {"train": [], "test": [], "train_targets": [], "test_targets": []}
     classes = None if spec.task == "recon" else spec.classes  # recon ignores the class count
+    first = None  # (path, channels) of the first train or test cloud
     for rel in entries:
         split = rel.split("/", 1)[0]
         if split not in splits:
             raise ValueError(f"{manifest_path}: unknown split in entry {rel!r}")
-        splits[split].append(read_cloud(os.path.join(in_dir, rel), classes))
+        path = os.path.join(in_dir, rel)
+        cloud = read_cloud(path, classes)
+        if split in ("train", "test"):  # one network input width; targets carry no features
+            first = first or (path, cloud.channels)
+            if cloud.channels != first[1]:
+                raise ValueError(f"{path}: {cloud.channels} feature channels, but {first[0]} has {first[1]}")
+        splits[split].append(cloud)
     spec.train_clouds = len(splits["train"])
     spec.test_clouds = len(splits["test"])
     if spec.task == "recon":

@@ -22,9 +22,10 @@ are recomputed exactly and re-ranked, rows that might hide a tie beyond the
 candidates ask again for k + 8, and only rows still unsure fall back to a
 dense search in bounded row blocks. No full N x M distance matrix is built.
 
-Every index map exposes one CSR edge list, ``map.edges`` (an ``Edges``),
-built here once per map; up-sampling adds the ``nearest_samples`` fallback
-rows to it (``up_edges``). The mixing layers only read these edges.
+Every index map exposes one CSR edge list, ``map.edges`` (an
+``autodiff.Edges``, checked once when built), built here once per map;
+up-sampling adds the ``nearest_samples`` fallback rows to it
+(``up_edges``). The mixing layers only read these edges.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from .autodiff import Edges
 
 __all__ = [
     "COORD_LIMIT",
@@ -121,6 +124,8 @@ class PointCloud:
         if self.positions.ndim != 2 or self.positions.shape[1] != 3 or self.n < 1:
             raise ValueError("positions must be a non-empty (N, 3) array")
         check_coordinates(self.positions)
+        if self.features.ndim != 2:
+            raise ValueError("features must be an (N, C) array")
         if self.features.shape[0] != self.n:
             raise ValueError("feature row count does not match positions")
         if not np.all(np.isfinite(self.features)):
@@ -130,16 +135,6 @@ class PointCloud:
                 raise ValueError("labels must be a flat (N,) array")
             if num_classes is not None and (self.labels.min() < 0 or self.labels.max() >= num_classes):
                 raise ValueError("label out of range")
-
-
-@dataclass(frozen=True)
-class Edges:
-    """CSR edge list: edge e joins query ``dst[e]`` to source ``src[e]``, and
-    query q owns the edges ``offsets[q]:offsets[q + 1]``."""
-
-    dst: np.ndarray  # (E,) int64, ascending
-    src: np.ndarray  # (E,) int64
-    offsets: np.ndarray  # (queries + 1,) int64
 
 
 @dataclass
@@ -160,8 +155,7 @@ class NeighborMap:
     @functools.cached_property
     def edges(self) -> Edges:
         n, k = self.indices.shape
-        return Edges(np.repeat(np.arange(n, dtype=np.int64), k), self.indices.ravel(),
-                     np.arange(n + 1, dtype=np.int64) * k)
+        return Edges(self.indices.ravel(), np.arange(n + 1, dtype=np.int64) * k)
 
 
 @dataclass
@@ -191,8 +185,7 @@ class InverseNeighborMap:
 
     @functools.cached_property
     def edges(self) -> Edges:
-        dst = np.repeat(np.arange(self.source_count, dtype=np.int64), self.row_lengths())
-        return Edges(dst, self.indices, self.offsets)
+        return Edges(self.indices, self.offsets)
 
 
 _SLACK = 8  # extra tree candidates per row beyond k in the second tier
@@ -375,7 +368,7 @@ def up_edges(inv: InverseNeighborMap, fallback: np.ndarray) -> Edges:
         return inv.edges
     src = np.insert(inv.indices, inv.offsets[empty], np.asarray(fallback, dtype=np.int64)[empty])
     offsets = inv.offsets + np.searchsorted(empty, np.arange(len(inv.offsets)))  # + empty rows before
-    return Edges(np.repeat(np.arange(inv.source_count, dtype=np.int64), np.diff(offsets)), src, offsets)
+    return Edges(src, offsets)
 
 
 def fps(points: np.ndarray, m: int, start: int = 0) -> np.ndarray:

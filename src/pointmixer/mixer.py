@@ -6,7 +6,11 @@ The central layer scores each (query, neighbor) edge with a scalar
 ``g2([g1(x_j); delta(p_i - p_j)])``, normalizes the scores per query with a
 softmax over the neighbor axis, and sums ``g3(x_j)`` under those weights.
 Every map hands the kernel its one ``geom.Edges`` (``map.edges``, or
-``geom.up_edges`` for up-sampling), built in ``geom``, never here.
+``geom.up_edges`` for up-sampling), built in ``geom``, never here. A map's
+per-cloud constants, those edges and each edge's relative position, form a
+``MapGeometry`` (``map_geometry``): ``Network.prepare`` builds one per map
+and passes it to every layer that mixes over the map (``geometry=``); a
+layer called without one builds its own, once per call, the same way.
 Up-sampling takes the nearest-sample fallback stored with the hierarchy
 level (``HierarchyLevel.up_fallback``), so no layer in this module runs a
 neighbor search. Because the softmax runs over those CSR segments, one
@@ -54,6 +58,8 @@ from .geom import Edges, InverseNeighborMap, NeighborMap, as_positions, up_edges
 from .nn import LayerNorm, Linear, Mlp2, ParamStore, Rng
 
 __all__ = [
+    "MapGeometry",
+    "map_geometry",
     "PointMixerParams",
     "MixerBlockParams",
     "MaxPoolParams",
@@ -113,18 +119,29 @@ class PointMixerParams:
         return cls(g1, g2, g3, delta, width, pe)
 
 
+@dataclass(frozen=True)
+class MapGeometry:
+    """What mixing over one map needs besides features: the map's edges and
+    ``rel[e] = pos_q[dst_e] - pos_s[src_e]`` (read-only), fixed for a cloud."""
+
+    edges: Edges
+    rel: np.ndarray  # (E, 3)
+
+
+def map_geometry(pos_q: np.ndarray, pos_s: np.ndarray, edges: Edges) -> MapGeometry:
+    """A map's ``MapGeometry`` from query and source positions
+    (``as_positions`` arrays) and its edges."""
+    rel = np.subtract(np.take(pos_q, edges.dst, axis=0), np.take(pos_s, edges.src, axis=0))
+    rel.setflags(write=False)
+    return MapGeometry(edges, rel)
+
+
 def _check_width(x: Tensor, width: int):
     if x.shape[-1] != width:
         raise ValueError(f"feature width {x.shape[-1]} does not match layer width {width}")
 
 
-def _softmax_mix_edges(
-    x_src: Tensor,
-    pos_q: np.ndarray,
-    pos_s: np.ndarray,
-    edges: Edges,
-    params: PointMixerParams,
-) -> Tensor:
+def _softmax_mix_edges(x_src: Tensor, geo: MapGeometry, params: PointMixerParams) -> Tensor:
     """Shared edge kernel: score, normalize per query segment, mix values.
 
     ``g2``'s first layer acts on ``[g1(x_j); delta(rel)]``, so it splits by
@@ -139,34 +156,45 @@ def _softmax_mix_edges(
     pe1, pe2 = params.delta.fc1, params.delta.fc2
     w_pos = slice_last(fc1.W, c, c + params.pe_width)
     hidden = linear(params.g1(x_src), slice_last(fc1.W, 0, c), linear(pe2.b, w_pos, fc1.b))
-    src, offsets = edges.src, edges.offsets
-    rel = pos_q[edges.dst] - pos_s[src]
-    scores = edge_scores(hidden, src, rel, pe1.W, pe1.b, matmul(w_pos, pe2.W), params.g2.fc2.W, params.g2.fc2.b)
-    weights = segment_softmax(scores, offsets)
-    return csr_weighted_sum(weights, params.g3(x_src), src, offsets)
+    e = geo.edges
+    scores = edge_scores(hidden, e, geo.rel, pe1.W, pe1.b, matmul(w_pos, pe2.W), params.g2.fc2.W, params.g2.fc2.b)
+    return csr_weighted_sum(segment_softmax(scores, e), params.g3(x_src), e)
 
 
-def intra_set_mix(x, positions, m: NeighborMap, params: PointMixerParams) -> Tensor:
-    """Mix each query with its own k nearest neighbors (forward map)."""
+def _same_level(positions, index_map, geometry: MapGeometry | None) -> MapGeometry:
+    """``geometry``, or else the one of a same-level map over ``positions``."""
+    if geometry is not None:
+        return geometry
     pos = as_positions(positions)
-    return _softmax_mix_edges(as_tensor(x), pos, pos, m.edges, params)
+    return map_geometry(pos, pos, index_map.edges)
 
 
-def inter_set_mix(x, positions, inv: InverseNeighborMap, params: PointMixerParams) -> Tensor:
+def intra_set_mix(x, positions, m: NeighborMap, params: PointMixerParams,
+                  geometry: MapGeometry | None = None) -> Tensor:
+    """Mix each query with its own k nearest neighbors (forward map).
+    ``geometry``: the map's prepared ``MapGeometry`` (see the module
+    docstring)."""
+    return _softmax_mix_edges(as_tensor(x), _same_level(positions, m, geometry), params)
+
+
+def inter_set_mix(x, positions, inv: InverseNeighborMap, params: PointMixerParams,
+                  geometry: MapGeometry | None = None) -> Tensor:
     """Mix each query with every point whose neighborhood contains it.
 
     Row cardinality varies, so normalization runs over CSR segments. A row
     can be empty: with more than k coincident copies of a point, some copies
     sit in no neighborhood. An empty row mixes nothing and gives a zero
     vector, so inside a residual block the point's features pass through."""
-    pos = as_positions(positions)
-    return _softmax_mix_edges(as_tensor(x), pos, pos, inv.edges, params)
+    return _softmax_mix_edges(as_tensor(x), _same_level(positions, inv, geometry), params)
 
 
-def hier_down_mix(x_o, pos_o, pos_s, m_os: NeighborMap, params: PointMixerParams) -> Tensor:
+def hier_down_mix(x_o, pos_o, pos_s, m_os: NeighborMap, params: PointMixerParams,
+                  geometry: MapGeometry | None = None) -> Tensor:
     """Pool original-level features into sampled queries via the forward
     cross-level map (queries are the sampled points)."""
-    return _softmax_mix_edges(as_tensor(x_o), as_positions(pos_s), as_positions(pos_o), m_os.edges, params)
+    if geometry is None:
+        geometry = map_geometry(as_positions(pos_s), as_positions(pos_o), m_os.edges)
+    return _softmax_mix_edges(as_tensor(x_o), geometry, params)
 
 
 def hier_up_mix(
@@ -177,6 +205,7 @@ def hier_up_mix(
     params: PointMixerParams,
     skip,
     fallback: np.ndarray,
+    geometry: MapGeometry | None = None,
 ) -> Tensor:
     """Spread sampled-level features back to the original level by reusing
     the inverted down-sampling map; the result is added to the skip features
@@ -187,9 +216,11 @@ def hier_up_mix(
     ``geom.up_edges``). ``fallback`` carries those nearest-sample indices,
     -1 for covered rows: ``HierarchyLevel.up_fallback``, found once when
     ``geom.build_hierarchy`` builds the level. This layer runs no search.
+    ``geometry``, when given, already holds those up-sampling edges.
     """
-    pos_s, pos_o = as_positions(pos_s), as_positions(pos_o)
-    mixed = _softmax_mix_edges(as_tensor(x_s), pos_o, pos_s, up_edges(inv_os, fallback), params)
+    if geometry is None:
+        geometry = map_geometry(as_positions(pos_o), as_positions(pos_s), up_edges(inv_os, fallback))
+    mixed = _softmax_mix_edges(as_tensor(x_s), geometry, params)
     if skip is None:
         return mixed
     return mixed + as_tensor(skip)
@@ -261,24 +292,23 @@ class TokenMlpParams:
         )
 
 
-def _maxpool_mix(x, positions, index_map, v: MaxPoolParams) -> Tensor:
+def _maxpool_mix(x, positions, index_map, v: MaxPoolParams, geometry: MapGeometry | None) -> Tensor:
     x = as_tensor(x)
     _check_width(x, v.width)
-    pos = as_positions(positions)
-    e = index_map.edges
-    h = v.mlp(concat_last([gather_rows(x, e.src), Tensor(pos[e.dst] - pos[e.src])]))
-    return segment_max(h, e.offsets)
+    geo = _same_level(positions, index_map, geometry)
+    h = v.mlp(concat_last([gather_rows(x, geo.edges.src), Tensor(geo.rel)]))
+    return segment_max(h, geo.edges)
 
 
-def _attention_mix(x, positions, index_map, v: VectorAttentionParams) -> Tensor:
+def _attention_mix(x, positions, index_map, v: VectorAttentionParams, geometry: MapGeometry | None) -> Tensor:
     x = as_tensor(x)
     _check_width(x, v.width)
-    pos = as_positions(positions)
-    e = index_map.edges
-    pe = v.delta(pos[e.dst] - pos[e.src])
+    geo = _same_level(positions, index_map, geometry)
+    e = geo.edges
+    pe = v.delta(geo.rel)
     logits = gather_rows(v.w1(x), e.dst) - gather_rows(v.w2(x), e.src) + pe
-    weights = segment_softmax(v.psi(logits), e.offsets)
-    return segment_sum(weights * (gather_rows(v.w3(x), e.src) + pe), e.offsets)
+    weights = segment_softmax(v.psi(logits), e)
+    return segment_sum(weights * (gather_rows(v.w3(x), e.src) + pe), e)
 
 
 def _token_mlp_mix(x, positions, index_map, v: TokenMlpParams) -> Tensor:
@@ -298,16 +328,18 @@ def _token_mlp_mix(x, positions, index_map, v: TokenMlpParams) -> Tensor:
     return reduce_mean(y, axis=1)
 
 
-def variant_mix(x, positions, index_map, v) -> Tensor:
-    """Run whichever mixing operator ``v`` parameterizes over the given map."""
+def variant_mix(x, positions, index_map, v, geometry: MapGeometry | None = None) -> Tensor:
+    """Run whichever mixing operator ``v`` parameterizes over the given map
+    (``geometry``: its prepared ``MapGeometry``, which the token MLP does
+    not use)."""
     if isinstance(v, PointMixerParams):
         if isinstance(index_map, NeighborMap):
-            return intra_set_mix(x, positions, index_map, v)
-        return inter_set_mix(x, positions, index_map, v)
+            return intra_set_mix(x, positions, index_map, v, geometry)
+        return inter_set_mix(x, positions, index_map, v, geometry)
     if isinstance(v, MaxPoolParams):
-        return _maxpool_mix(x, positions, index_map, v)
+        return _maxpool_mix(x, positions, index_map, v, geometry)
     if isinstance(v, VectorAttentionParams):
-        return _attention_mix(x, positions, index_map, v)
+        return _attention_mix(x, positions, index_map, v, geometry)
     if isinstance(v, TokenMlpParams):
         return _token_mlp_mix(x, positions, index_map, v)
     raise TypeError(f"unknown variant params: {type(v)!r}")
@@ -371,8 +403,8 @@ class MixerBlockParams:
         )
 
 
-def mixer_block(x, positions, index_map, block: MixerBlockParams) -> Tensor:
+def mixer_block(x, positions, index_map, block: MixerBlockParams, geometry: MapGeometry | None = None) -> Tensor:
     x = as_tensor(x)
     _check_width(x, block.width)
-    x1 = x + variant_mix(block.norm1(x), positions, index_map, block.mix)
+    x1 = x + variant_mix(block.norm1(x), positions, index_map, block.mix, geometry)
     return x1 + block.channel_mlp(block.norm2(x1))

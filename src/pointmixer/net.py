@@ -28,7 +28,15 @@ from .autodiff import (
     segment_max,
 )
 from .geom import HierarchyLevel, InverseNeighborMap, NeighborMap, PointCloud
-from .mixer import MixerBlockParams, PointMixerParams, mixer_block, hier_down_mix, hier_up_mix
+from .mixer import (
+    MapGeometry,
+    MixerBlockParams,
+    PointMixerParams,
+    hier_down_mix,
+    hier_up_mix,
+    map_geometry,
+    mixer_block,
+)
 from .nn import LayerNorm, Linear, ParamStore, Rng, dropout
 
 __all__ = [
@@ -38,6 +46,7 @@ __all__ = [
     "NetworkConfig",
     "Network",
     "Plan",
+    "UncoveredPoints",
     "build_network",
     "forward_classify",
     "forward_dense",
@@ -110,15 +119,25 @@ class NetworkConfig:
             )
 
 
+class UncoveredPoints(ValueError):
+    """``Network.prepare`` met a cloud with points in no neighbourhood (empty
+    inverse rows, e.g. a point repeated more than k times) for a max-pool
+    network with inter-set mixing, whose max over no neighbours is undefined."""
+
+
 @dataclass
 class Plan:
     """Per-cloud geometry reused across forward passes: positions, the
-    hierarchy (down maps + inverses + fallbacks), and same-level kNN maps."""
+    hierarchy (down maps + inverses + fallbacks), same-level kNN maps, and
+    per level the ``MapGeometry`` of each map the network mixes over, keyed
+    "intra", "inter", "down" and "up" (the up map runs from that level to
+    the one before)."""
 
     positions: list[np.ndarray]
     levels: list[HierarchyLevel]
     sl_maps: list[NeighborMap]
     sl_invs: list[InverseNeighborMap | None]
+    geometry: list[dict[str, MapGeometry]]
 
 
 @dataclass
@@ -149,9 +168,11 @@ class Network:
     last_decode_knn_calls: int | None = None
 
     def prepare(self, positions: np.ndarray) -> Plan:
-        """Build every index structure a forward pass needs (encode side).
-        Float32 positions give float32 ``plan.positions``; anything else
-        float64 (``geom.as_positions``)."""
+        """Build every index structure a forward pass needs, and each mixed
+        map's ``MapGeometry``. Float32 positions give float32
+        ``plan.positions``; anything else float64 (``geom.as_positions``).
+        Raises ``UncoveredPoints`` where a max-pool network's inter-set
+        mixing would meet an empty inverse row."""
         cfg = self.config
         pos = geom.as_positions(positions)
         ratios = [spec.ratio for spec in cfg.levels]
@@ -164,7 +185,29 @@ class Network:
         sl_invs = [None] * len(sl_maps)
         if cfg.use_inter:
             sl_invs = [hier.levels[0].down_inverse] + [geom.invert_map(m) for m in sl_maps[1:]]
-        return Plan([lv.positions for lv in hier.levels], hier.levels, sl_maps, sl_invs)
+        for li, inv in enumerate(sl_invs):
+            empty = 0 if inv is None or cfg.variant != "maxpool" else np.count_nonzero(inv.row_lengths() == 0)
+            if empty and cfg.levels[li].blocks:
+                raise UncoveredPoints(
+                    f"{empty} points at level {li} lie in no neighbourhood (a point repeated more than "
+                    f"k={cfg.k} times?), but max-pool inter-set mixing needs each point in one; "
+                    "disable inter-set mixing or use another variant"
+                )
+        positions = [lv.positions for lv in hier.levels]
+        geometry = []
+        for li, lv in enumerate(hier.levels):
+            pos, geo = positions[li], {}
+            if cfg.use_intra:
+                geo["intra"] = map_geometry(pos, pos, sl_maps[li].edges)
+            if cfg.use_inter:
+                geo["inter"] = map_geometry(pos, pos, sl_invs[li].edges)
+            if li and cfg.use_hier:
+                prev = positions[li - 1]
+                geo["down"] = map_geometry(pos, prev, lv.down_map.edges)
+                if isinstance(cfg.head, DenseHead):  # a classifier has no decoder
+                    geo["up"] = map_geometry(prev, pos, geom.up_edges(lv.down_inverse, lv.up_fallback))
+            geometry.append(geo)
+        return Plan(positions, hier.levels, sl_maps, sl_invs, geometry)
 
     def state(self):
         return self.store.state()
@@ -227,7 +270,7 @@ def build_network(config: NetworkConfig, rng: Rng) -> Network:
 def _apply_blocks(x, blocks, plan: Plan, li: int):
     for kind, block in blocks:
         index_map = plan.sl_maps[li] if kind == "intra" else plan.sl_invs[li]
-        x = mixer_block(x, plan.positions[li], index_map, block)
+        x = mixer_block(x, plan.positions[li], index_map, block, geometry=plan.geometry[li][kind])
     return x
 
 
@@ -236,11 +279,12 @@ def _transition_down(net: Network, x, plan: Plan, li: int):
     lv = plan.levels[li]
     h = td.norm(x)
     if td.mix is not None:
-        mixed = hier_down_mix(h, plan.positions[li - 1], plan.positions[li], lv.down_map, td.mix)
+        mixed = hier_down_mix(h, plan.positions[li - 1], plan.positions[li], lv.down_map, td.mix,
+                              geometry=plan.geometry[li]["down"])
         return td.lin(mixed)
     # asymmetric baseline: project then max-pool over the down-map neighborhood
     e = lv.down_map.edges
-    return segment_max(gather_rows(td.lin(h), e.src), e.offsets)
+    return segment_max(gather_rows(td.lin(h), e.src), e)
 
 
 def _transition_up(net: Network, x, skip, plan: Plan, li: int):
@@ -250,14 +294,14 @@ def _transition_up(net: Network, x, skip, plan: Plan, li: int):
     g = tu.expand(tu.norm(x))
     if tu.mix is not None:
         return hier_up_mix(g, plan.positions[li], plan.positions[li - 1], lv.down_inverse,
-                           tu.mix, skip=skip, fallback=lv.up_fallback)
+                           tu.mix, skip=skip, fallback=lv.up_fallback, geometry=plan.geometry[li]["up"])
     # asymmetric baseline: fresh 3-NN search at decode time, inverse-square weights
     pos_o, pos_s = plan.positions[li - 1], plan.positions[li]
     m3 = geom.knn(pos_s, pos_o, min(3, len(pos_s)))
     d2 = np.sum((pos_o[:, None, :] - pos_s[m3.indices]) ** 2, axis=-1)
     w = 1.0 / (d2 + 1e-10)
     w /= w.sum(axis=1, keepdims=True)
-    return csr_weighted_sum(Tensor(w.ravel()), g, m3.edges.src, m3.edges.offsets) + skip
+    return csr_weighted_sum(Tensor(w.ravel()), g, m3.edges) + skip
 
 
 def _encode(net: Network, plan: Plan, feats):

@@ -97,7 +97,7 @@ class ParamStore:
         if name in self._entries:
             raise ValueError(f"duplicate parameter name: {name}")
         t = Tensor(np.asarray(array, dtype=np.float64), requires_grad=True)
-        self._entries[name] = _Entry(t, np.zeros_like(t.data))
+        self._entries[name] = _Entry(t, np.zeros(t.data.shape))  # calloc'd: no pass over the bytes
         return t
 
     def __contains__(self, name: str) -> bool:
@@ -141,7 +141,7 @@ class ParamStore:
             if arr.shape != e.value.data.shape:
                 raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {e.value.data.shape}")
             e.value.data = arr.copy()
-            e.momentum = np.zeros_like(arr)
+            e.momentum = np.zeros(arr.shape)
 
 
 # -- layers ----------------------------------------------------------------
@@ -219,18 +219,23 @@ def dropout(x, rate: float, rng: Rng, training: bool) -> Tensor:
 def sgd_step(store: ParamStore, lr: float, momentum: float = 0.9, weight_decay: float = 1e-4):
     """Classic momentum SGD with weight decay folded into the gradient:
     ``m = momentum m + (grad + wd w)``, ``w -= lr m``, updated in place
-    (``.grad`` is left as it is; a missing gradient counts as zero)."""
-    for e in store._entries.values():
-        data, g = e.value.data, e.value.grad
+    (``.grad`` is left as it is; a missing gradient counts as zero). Every
+    product goes through one scratch buffer, sized to the largest
+    parameter."""
+    entries = store._entries.values()
+    scratch = np.empty(max((e.value.data.size for e in entries), default=0))
+    for e in entries:
+        data, g, m = e.value.data, e.value.grad, e.momentum
+        buf = scratch[: data.size].reshape(data.shape)
         if weight_decay:
-            wd = weight_decay * data
+            np.multiply(weight_decay, data, out=buf)
             if g is not None:
-                wd += g
-            g = wd
-        e.momentum *= momentum
+                buf += g
+            g = buf
+        m *= momentum
         if g is not None:
-            e.momentum += g
-        data -= lr * e.momentum
+            m += g
+        data -= np.multiply(lr, m, out=buf)
 
 
 def cosine_lr(epoch: int, total_epochs: int, base_lr: float) -> float:

@@ -660,3 +660,77 @@ def test_gen_io_failure_exits_3(tmp_path, capsys):
                            "--out", str(blocker / "nested"), "--clouds", "1",
                            "--test-clouds", "0", "--points", "32")
     assert code == 3
+
+
+# -- clouds a network cannot take ---------------------------------------------------
+
+
+def repeat_first_point(cloud_path, copies):
+    """Overwrite the first ``copies`` point lines of a .pmc file with its first one."""
+    lines = cloud_path.read_text().splitlines()
+    lines[1 : 1 + copies] = [lines[1]] * copies
+    cloud_path.write_text("\n".join(lines) + "\n")
+
+
+def maxpool_seg_config(tmp_path, data_dir, out_name, **overrides):
+    return tiny_train_config(tmp_path, out_name, **{
+        "data.dir": str(data_dir), "data.task": "seg", "data.classes": 2, "net.widths": "8,8",
+        "net.variant": "maxpool", **overrides})
+
+
+def test_train_maxpool_on_a_point_repeated_beyond_k_exits_2(tmp_path, capsys):
+    data_dir = tmp_path / "dup"
+    run_cli(capsys, "gen", "--task", "seg", "--out", str(data_dir), "--clouds", "2",
+            "--test-clouds", "1", "--points", "64", "--seed", "0")
+    repeat_first_point(data_dir / "train" / "cloud_00001.pmc", 7)  # k = 4: three copies in no neighbourhood
+    code, out, err = run_cli(capsys, "train", str(maxpool_seg_config(tmp_path, data_dir, "mp")))
+    assert code == 2
+    assert_one_line_error(err, "3 points at level 0 lie in no neighbourhood")
+    assert not (tmp_path / "mp" / "model.pmix").exists()
+    # without inter-set mixing nothing takes a max over an empty row
+    cfg_path = maxpool_seg_config(tmp_path, data_dir, "mp_intra", **{"net.use_inter": "false"})
+    assert run_cli(capsys, "train", str(cfg_path))[0] == 0
+
+
+def test_eval_maxpool_on_a_point_repeated_beyond_k_exits_2(tmp_path, capsys):
+    data_dir = tmp_path / "clean"
+    run_cli(capsys, "gen", "--task", "seg", "--out", str(data_dir), "--clouds", "2",
+            "--test-clouds", "2", "--points", "64", "--seed", "0")
+    cfg_path = maxpool_seg_config(tmp_path, data_dir, "mp", **{"train.epochs": 0})
+    assert run_cli(capsys, "train", str(cfg_path))[0] == 0
+    repeat_first_point(data_dir / "test" / "cloud_00001.pmc", 7)
+    code, out, err = run_cli(capsys, "eval", "--config", str(cfg_path),
+                             "--checkpoint", str(tmp_path / "mp" / "model.pmix"), "--data", str(data_dir))
+    assert code == 2
+    assert_one_line_error(err, "3 points at level 0 lie in no neighbourhood")
+    assert out == ""
+
+
+def drop_feature_channels(cloud_path, keep):
+    from pointmixer.geom import PointCloud
+
+    cloud = cloudio.read_cloud(cloud_path)
+    cloudio.write_cloud(cloud_path, PointCloud(cloud.positions, cloud.features[:, :keep], cloud.labels))
+
+
+def test_train_clouds_of_differing_channel_counts_exit_3(tmp_path, capsys):
+    data_dir = tmp_path / "mixed"
+    run_cli(capsys, "gen", "--task", "seg", "--out", str(data_dir), "--clouds", "2",
+            "--test-clouds", "1", "--points", "64", "--seed", "0")
+    drop_feature_channels(data_dir / "test" / "cloud_00000.pmc", 3)
+    cfg_path = tiny_train_config(tmp_path, **{"data.dir": str(data_dir), "data.task": "seg", "data.classes": 2})
+    code, out, err = run_cli(capsys, "train", str(cfg_path))
+    assert code == 3
+    assert_one_line_error(err, "cannot load data: ")
+    assert "test/cloud_00000.pmc: 3 feature channels, but" in err and err.rstrip().endswith("has 6")
+
+
+def test_eval_clouds_of_differing_channel_counts_exit_3(tmp_path, capsys):
+    cfg_path, ckpt, data_dir = eval_fixture(tmp_path, capsys)
+    drop_feature_channels(data_dir / "test" / "cloud_00002.pmc", 2)
+    code, out, err = run_cli(capsys, "eval", "--config", str(cfg_path),
+                             "--checkpoint", str(ckpt), "--data", str(data_dir))
+    assert code == 3
+    assert_one_line_error(err, "bad inputs: ")
+    assert "test/cloud_00002.pmc: 2 feature channels, but" in err
+    assert out == ""

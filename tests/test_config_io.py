@@ -184,3 +184,51 @@ def test_recon_dataset_directory_keeps_targets(tmp_path):
     assert len(back.train_targets) == 2
     for a, b in zip(ds.train_targets, back.train_targets):
         assert np.array_equal(a, b)
+
+
+def _per_value_cloud_text(cloud) -> str:
+    """A cloud file as one ``%.17g`` call per value writes it."""
+    has_labels = 1 if cloud.labels is not None else 0
+    lines = [f"pmcloud {cloud.n} {cloud.channels} {has_labels}"]
+    for i in range(cloud.n):
+        row = " ".join("%.17g" % v for v in cloud.positions[i])
+        if cloud.channels:
+            row += " " + " ".join("%.17g" % v for v in cloud.features[i])
+        if has_labels:
+            row += f" {int(cloud.labels[i])}"
+        lines.append(row)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("channels,labels", [(0, False), (0, True), (3, False), (4, True)])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_write_cloud_bytes_equal_the_per_value_formatter(tmp_path, channels, labels, dtype):
+    rng = np.random.default_rng(70 + channels)
+    pos = rng.normal(size=(9, 3)) * 10.0 ** rng.integers(-5, 5, (9, 3))
+    if dtype == np.float64:
+        pos[0] = [-0.0, 5e-324, 1e300]
+        pos[1] = [-1e-300, 0.0, 1.0 / 3.0]
+    else:
+        pos[0] = [-0.0, 1e-45, 3e38]
+    feats = rng.normal(size=(9, channels))
+    if channels:
+        feats[2, 0] = -0.0
+    cloud = PointCloud(pos.astype(dtype), feats.astype(dtype),
+                       rng.integers(0, 99999, 9) if labels else None)
+    path = tmp_path / "c.pmc"
+    cloudio.write_cloud(path, cloud)
+    assert path.read_text(encoding="ascii") == _per_value_cloud_text(cloud)
+
+
+def test_read_dataset_rejects_clouds_of_another_channel_count(tmp_path):
+    spec = tasks.DatasetSpec(task="seg", classes=2, points=32, train_clouds=2, test_clouds=1, seed=0)
+    cloudio.write_dataset(tmp_path, tasks.gen_dataset(spec))
+    odd = tmp_path / "test" / "cloud_00000.pmc"
+    back = cloudio.read_cloud(odd)
+    cloudio.write_cloud(odd, PointCloud(back.positions, back.features[:, :3], back.labels))
+    with pytest.raises(ValueError, match="3 feature channels, but .*cloud_00000.pmc has 6"):
+        cloudio.read_dataset(tmp_path)
+    recon = tmp_path / "recon"  # targets carry no features, and are not compared
+    cloudio.write_dataset(recon, tasks.gen_dataset(tasks.DatasetSpec(task="recon", points=32, train_clouds=2,
+                                                                     test_clouds=1, seed=0)))
+    assert cloudio.read_dataset(recon).train[0].channels == 3

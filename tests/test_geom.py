@@ -568,3 +568,10 @@ def test_point_cloud_validation():
         geom.PointCloud(np.zeros((2, 3)), np.array([[0.0], [np.nan]])).validate()
     with pytest.raises(ValueError):
         good.validate(num_classes=1)
+
+
+def test_validate_rejects_a_flat_feature_array():
+    pts = np.random.default_rng(16).uniform(-1, 1, (6, 3))
+    cloud = geom.PointCloud(pts, np.zeros(6))
+    with pytest.raises(ValueError, match=r"features must be an \(N, C\) array"):
+        cloud.validate()

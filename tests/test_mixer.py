@@ -790,3 +790,63 @@ def test_maxpool_keeps_its_error_on_empty_inverse_rows():
     v = mixer.create_variant(nn.ParamStore(), "v", "maxpool", 3, nn.Rng(0))
     with pytest.raises(ValueError, match="non-empty segments"):
         mixer.variant_mix(Tensor(rng.normal(size=(16, 3))), pts, inv, v)
+
+
+# -- a map's geometry, prepared or built per call ----------------------------------
+
+
+def test_map_geometry_holds_the_edges_and_each_edges_relative_position():
+    rng = np.random.default_rng(910)
+    pts = rng.uniform(-1, 1, (20, 3))
+    lv = geom.build_hierarchy(pts, [0.25], k=4).levels[1]
+    geo = mixer.map_geometry(lv.positions, pts, lv.down_map.edges)
+    e = lv.down_map.edges
+    assert geo.edges is e
+    assert np.array_equal(geo.rel, lv.positions[e.dst] - pts[e.src])
+    assert not geo.rel.flags.writeable
+    assert mixer.map_geometry(pts.astype(np.float32), pts.astype(np.float32), e).rel.dtype == np.float32
+
+
+def _outputs_and_grads(f, tensors):
+    for t in tensors:
+        t.grad = None
+    out = f()
+    out.backward(np.random.default_rng(3).normal(size=out.shape))
+    return [out.data] + [t.grad for t in tensors]
+
+
+@pytest.mark.parametrize("variant", mixer.VARIANTS)
+def test_layers_give_the_same_bits_with_a_prepared_geometry(variant):
+    rng = np.random.default_rng(911)
+    pts = coincident_cloud(rng, 8, 24)  # empty inverse rows and up-sampling fallbacks
+    n = len(pts)
+    m = geom.knn(pts, pts, 4)
+    inv = geom.invert_map(m)
+    store = nn.ParamStore()
+    x = Tensor(rng.normal(size=(n, 4)), requires_grad=True)
+    v = mixer.create_variant(store, "v", variant, 4, nn.Rng(1), k=4)
+    tensors = [t for _, t in store.tensors()] + [x]
+    maps = [m] if variant in ("tokenmlp", "maxpool") else [m, inv]  # max-pool refuses empty rows
+    for index_map in maps:
+        geo = mixer.map_geometry(pts, pts, index_map.edges)
+        per_call = _outputs_and_grads(lambda: mixer.variant_mix(x, pts, index_map, v), tensors)
+        prepared = _outputs_and_grads(lambda: mixer.variant_mix(x, pts, index_map, v, geo), tensors)
+        for a, b in zip(per_call, prepared):
+            assert np.array_equal(a, b)
+
+    lv = geom.build_hierarchy(pts, [0.25], k=4).levels[1]
+    assert np.any(lv.up_fallback >= 0)
+    store, p = make_params(4, seed=2)
+    xs = Tensor(rng.normal(size=(lv.n, 4)), requires_grad=True)
+    tensors = [t for _, t in store.tensors()] + [x, xs]
+    down = mixer.map_geometry(lv.positions, pts, lv.down_map.edges)
+    up = mixer.map_geometry(pts, lv.positions, geom.up_edges(lv.down_inverse, lv.up_fallback))
+    pairs = [
+        (lambda: mixer.hier_down_mix(x, pts, lv.positions, lv.down_map, p),
+         lambda: mixer.hier_down_mix(x, pts, lv.positions, lv.down_map, p, geometry=down)),
+        (lambda: mixer.hier_up_mix(xs, lv.positions, pts, lv.down_inverse, p, x, lv.up_fallback),
+         lambda: mixer.hier_up_mix(xs, lv.positions, pts, lv.down_inverse, p, x, lv.up_fallback, geometry=up)),
+    ]
+    for per_call, prepared in pairs:
+        for a, b in zip(_outputs_and_grads(per_call, tensors), _outputs_and_grads(prepared, tensors)):
+            assert (a is None and b is None) or np.array_equal(a, b)

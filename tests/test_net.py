@@ -444,3 +444,68 @@ def test_float32_positions_stay_float32_through_prepare_and_forward_dense():
     assert cloud.positions.dtype == cloud.features.dtype == np.float32
     assert net.forward_dense(network, cloud).data.dtype == np.float32
     assert net.forward_dense(network, cloud, plan).data.dtype == np.float32
+
+
+# -- per-map geometry built once per plan -------------------------------------------
+
+
+def _dense_by_public_layers(network, cloud, plan):
+    """``forward_dense`` rebuilt from the public per-map layers, which build
+    each map's geometry per call."""
+    x = network.embed(Tensor(cloud.features))
+    pos = plan.positions
+    skips = []
+    for li in range(len(network.config.levels)):
+        if li:
+            td = network.downs[li - 1]
+            x = td.lin(mixer.hier_down_mix(td.norm(x), pos[li - 1], pos[li], plan.levels[li].down_map, td.mix))
+        for kind, block in network.enc_blocks[li]:
+            x = mixer.mixer_block(x, pos[li], plan.sl_maps[li] if kind == "intra" else plan.sl_invs[li], block)
+        skips.append(x)
+    for li in range(len(network.config.levels) - 1, 0, -1):
+        tu, lv = network.ups[li - 1], plan.levels[li]
+        x = mixer.hier_up_mix(tu.expand(tu.norm(x)), pos[li], pos[li - 1], lv.down_inverse, tu.mix,
+                              skip=skips[li - 1], fallback=lv.up_fallback)
+        for kind, block in network.dec_blocks[li - 1]:
+            index_map = plan.sl_maps[li - 1] if kind == "intra" else plan.sl_invs[li - 1]
+            x = mixer.mixer_block(x, pos[li - 1], index_map, block)
+    return network.head_fc2(autodiff.gelu(network.head_fc1(x)))
+
+
+@pytest.mark.parametrize("variant", ["softmax", "attention"])
+def test_prepared_network_gives_the_public_layers_bits(variant):
+    network = net.build_network(tiny_config(net.DenseHead(2), variant=variant), nn.Rng(11))
+    rng = np.random.default_rng(12)
+    pos = np.concatenate([np.full((6, 3), 0.3), rng.uniform(-1, 1, (26, 3))])  # 6 copies, k = 3
+    cloud = PointCloud(pos, pos.copy())
+    plan = network.prepare(cloud.positions)
+    assert np.any(plan.sl_invs[0].row_lengths() == 0) and np.any(plan.levels[1].up_fallback >= 0)
+    assert [sorted(g) for g in plan.geometry] == [["inter", "intra"], ["down", "inter", "intra", "up"]]
+    g = np.random.default_rng(13).normal(size=(32, 2))
+    runs = []
+    for forward in (lambda: net.forward_dense(network, cloud, plan=plan),
+                    lambda: _dense_by_public_layers(network, cloud, plan)):
+        network.store.zero_grad()
+        out = forward()
+        out.backward(g)
+        runs.append([out.data] + [t.grad for _, t in network.store.tensors()])
+    for a, b in zip(*runs):
+        assert np.array_equal(a, b)
+
+
+def test_classifier_plan_builds_no_up_sampling_geometry():
+    network = net.build_network(tiny_config(net.ClassificationHead(3), use_inter=False), nn.Rng(0))
+    plan = network.prepare(cloud_from(np.random.default_rng(6), 32).positions)
+    assert [sorted(g) for g in plan.geometry] == [["intra"], ["down", "intra"]]
+
+
+def test_maxpool_prepare_refuses_points_in_no_neighbourhood():
+    rng = np.random.default_rng(14)
+    pos = np.concatenate([np.full((6, 3), 0.3), rng.uniform(-1, 1, (26, 3))])
+    network = net.build_network(tiny_config(net.DenseHead(2), variant="maxpool"), nn.Rng(0))
+    with pytest.raises(net.UncoveredPoints, match="lie in no neighbourhood") as info:
+        network.prepare(pos)
+    assert isinstance(info.value, ValueError) and "\n" not in str(info.value)
+    network.prepare(rng.uniform(-1, 1, (32, 3)))  # a cloud without empty rows
+    no_inter = net.build_network(tiny_config(net.DenseHead(2), variant="maxpool", use_inter=False), nn.Rng(0))
+    assert np.all(np.isfinite(net.forward_dense(no_inter, PointCloud(pos, pos.copy())).data))

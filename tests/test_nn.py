@@ -1030,3 +1030,122 @@ def test_edge_scores_run_in_a_child_forked_after_the_workers_started():
             pytest.fail("the forked child hung in edge_scores")
         time.sleep(0.02)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+# -- one checked Edges per map, and the blocked weight gradient ------------------------
+
+
+@pytest.mark.parametrize("width", [1, 3, 4, 8, 32, 33])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_csr_weighted_sum_blocked_weight_gradient_equals_one_pass_formula(monkeypatch, width, dtype):
+    # 3 edges per block: blocks end mid-segment, rows 1 and 4 are empty, and
+    # 22 edges leave a last block of one edge
+    monkeypatch.setattr(autodiff, "_EDGE_BLOCK_FLOATS", 3 * width)
+    rng = np.random.default_rng(240 + width)
+    lengths = np.array([4, 0, 5, 7, 0, 6])
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    src = rng.integers(0, 9, int(offsets[-1]))
+    assert len(src) % 3 == 1
+    w = Tensor(rng.normal(size=len(src)).astype(dtype), requires_grad=True)
+    v = Tensor(rng.normal(size=(9, width)).astype(dtype), requires_grad=True)
+    g = rng.normal(size=(len(lengths), width)).astype(dtype)
+    out = autodiff.csr_weighted_sum(w, v, src, offsets)
+    out.backward(g)
+    seg = np.repeat(np.arange(len(lengths)), lengths)
+    prod = g[seg]
+    prod *= v.data[src]
+    assert w.grad.dtype == dtype and np.array_equal(w.grad, prod.sum(axis=1))
+    from scipy import sparse
+
+    a = sparse.csr_array((w.data, src, offsets), shape=(len(lengths), 9))
+    assert np.array_equal(v.grad, a.T @ g)
+
+
+def test_edges_are_checked_once_when_built():
+    e = autodiff.Edges([2, 0, 1, 1], [0, 3, 3, 4])
+    assert e.dst.tolist() == [0, 0, 0, 2] and e.src_stop == 3
+    for a in (e.src, e.offsets, e.dst):
+        assert a.dtype == np.int64 and not a.flags.writeable
+    src = np.array([0, 1])
+    autodiff.Edges(src, [0, 2])
+    src[0] = 1  # the caller's array stays writable
+    for offsets in ([0, 2], [1, 3], [0, 3, 2, 3], [[0, 3]], []):
+        with pytest.raises(ValueError, match="malformed CSR offsets"):
+            autodiff.Edges([0, 1, 2], offsets)
+    with pytest.raises(IndexError, match="index out of range"):
+        autodiff.Edges([0, -1], [0, 2])
+    assert autodiff.Edges([], [0, 0, 0]).src_stop == 0
+
+
+def test_ops_check_an_edges_source_count_with_their_own_messages():
+    rng = np.random.default_rng(241)
+    e = autodiff.Edges([0, 4, 2], [0, 2, 3])
+    with pytest.raises(IndexError, match="csr_weighted_sum index out of range"):
+        autodiff.csr_weighted_sum(Tensor(np.ones(3)), Tensor(np.ones((4, 2))), e)
+    with pytest.raises(ValueError, match="one weight per edge"):
+        autodiff.csr_weighted_sum(Tensor(np.ones(2)), Tensor(np.ones((5, 2))), e)
+    src, rel, tensors = edge_case(rng, n=4, edges=3)
+    with pytest.raises(IndexError, match="edge_scores index out of range"):
+        autodiff.edge_scores(tensors[0], e, rel, *tensors[1:])
+    with pytest.raises(ValueError, match="malformed CSR offsets"):
+        nn.segment_softmax(Tensor(np.ones(4)), e)
+
+
+def test_ops_give_the_same_bits_for_an_edges_and_its_raw_arrays():
+    rng = np.random.default_rng(242)
+    src, offsets = csr_case(rng, rows=6)
+    e = autodiff.Edges(src, offsets)
+    rows = len(src)
+
+    def run(f, *shapes):
+        ts = [Tensor(np.random.default_rng(7).normal(size=s), requires_grad=True) for s in shapes]
+        out = f(*ts)
+        out.backward(np.random.default_rng(8).normal(size=out.shape))
+        return [out.data] + [t.grad for t in ts]
+
+    pairs = [
+        (lambda s: nn.segment_softmax(s, offsets), lambda s: nn.segment_softmax(s, e), [(rows,)]),
+        (lambda s: nn.segment_sum(s, offsets), lambda s: nn.segment_sum(s, e), [(rows, 3)]),
+        (lambda s: autodiff.segment_max(s, [0, 2, 5, rows]), lambda s: autodiff.segment_max(s, autodiff.Edges(
+            np.zeros(rows, dtype=np.int64), [0, 2, 5, rows])), [(rows, 3)]),
+        (lambda w, v: autodiff.csr_weighted_sum(w, v, src, offsets),
+         lambda w, v: autodiff.csr_weighted_sum(w, v, e), [(rows,), (6, 3)]),
+    ]
+    _, rel, tensors = edge_case(rng, n=6, edges=rows)
+    pairs.append((lambda h: autodiff.edge_scores(h, src, rel, *tensors[1:]),
+                  lambda h: autodiff.edge_scores(h, e, rel, *tensors[1:]), [(6, 3)]))
+    for raw, checked, shapes in pairs:
+        for a, b in zip(run(raw, *shapes), run(checked, *shapes)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_linear_adopts_its_fresh_gradients_and_copies_the_rest():
+    x = Tensor(np.ones((4, 3)), requires_grad=True)
+    W = Tensor(np.ones((2, 3)), requires_grad=True)
+    g = np.arange(8.0).reshape(4, 2)
+    autodiff.linear(x, W).backward(g)
+    assert np.array_equal(W.grad, g.T @ x.data) and np.array_equal(x.grad, g @ W.data)
+    z = Tensor(np.ones((4, 3)), requires_grad=True)
+    seed = np.ones((4, 3))
+    autodiff.reshape(z, (4, 3)).backward(seed)  # a view of the caller's seed is copied
+    assert np.array_equal(z.grad, seed) and not np.shares_memory(z.grad, seed)
+
+
+def test_sgd_step_equals_the_formula_with_temporaries():
+    rng = np.random.default_rng(243)
+    store = nn.ParamStore()
+    params = [store.add(name, rng.normal(size=s)) for name, s in (("a", (3, 4)), ("b", (5,)), ("c", (2, 2)))]
+    params[0].grad, params[1].grad = rng.normal(size=(3, 4)), rng.normal(size=5)
+    want = {}
+    for name, t in store.tensors():
+        m = store.momentum(name) * 0.9
+        g = 1e-4 * t.data
+        if t.grad is not None:
+            g += t.grad
+        m += g
+        want[name] = (t.data - 0.05 * m, m)
+    nn.sgd_step(store, 0.05, 0.9, 1e-4)
+    for name, t in store.tensors():
+        assert np.array_equal(t.data, want[name][0]) and np.array_equal(store.momentum(name), want[name][1])
+    nn.sgd_step(store, 0.05, 0.9, 0.0)  # without weight decay a missing gradient still counts as zero
+    assert np.array_equal(store.momentum("c"), want["c"][1] * 0.9)
