@@ -42,7 +42,6 @@ __all__ = [
     "Edges",
     "as_tensor",
     "no_grad",
-    "set_check_finite",
     "concat_last",
     "slice_last",
     "gather_rows",
@@ -77,7 +76,6 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _EDGE_BLOCK_FLOATS = 1 << 16
 
 _grad_enabled = True
-_check_finite = False
 _fault_ops: set[str] = set()
 
 
@@ -144,12 +142,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def set_check_finite(flag: bool):
-    """When on, every op output is asserted finite (slow; used by tests)."""
-    global _check_finite
-    _check_finite = flag
-
-
 class Tensor:
     """A dense array plus the tape bookkeeping needed for backward."""
 
@@ -187,9 +179,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     def _accumulate(self, g, owned: bool = False):
         """Add ``g`` into ``.grad``. ``owned`` says that ``g`` is a fresh
@@ -282,8 +271,6 @@ def _records_tape(parents) -> bool:
 
 def _make(data, parents, backward, op: str = "") -> Tensor:
     """Build an op output; drops the tape when grad is globally disabled."""
-    if _check_finite and not np.all(np.isfinite(data)):
-        raise FloatingPointError(f"non-finite values produced by {op or 'an operation'}")
     out = Tensor(data)
     if _records_tape(parents):
         out.requires_grad = True
@@ -418,29 +405,23 @@ def slice_last(a, start: int, stop: int) -> Tensor:
 # -- reductions -----------------------------------------------------------
 
 
-def reduce_sum(a, axis=None) -> Tensor:
+def reduce_sum(a) -> Tensor:
     a = as_tensor(a)
     shape = a.data.shape
 
     def bwd(g):
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, shape).copy())
-        else:
-            a._accumulate(np.broadcast_to(np.expand_dims(g, axis), shape).copy())
+        a._accumulate(np.broadcast_to(g, shape).copy())
 
-    return _make(a.data.sum(axis=axis), (a,), bwd, "reduce_sum")
+    return _make(a.data.sum(), (a,), bwd, "reduce_sum")
 
 
-def reduce_mean(a, axis=None) -> Tensor:
+def reduce_mean(a, axis: int) -> Tensor:
     a = as_tensor(a)
     shape = a.data.shape
-    n = a.data.size if axis is None else shape[axis]
+    n = shape[axis]
 
     def bwd(g):
-        if axis is None:
-            a._accumulate(np.broadcast_to(g / n, shape).copy())
-        else:
-            a._accumulate(np.broadcast_to(np.expand_dims(g, axis) / n, shape).copy())
+        a._accumulate(np.broadcast_to(np.expand_dims(g, axis) / n, shape).copy())
 
     return _make(a.data.mean(axis=axis), (a,), bwd, "reduce_mean")
 

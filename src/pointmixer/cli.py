@@ -6,7 +6,8 @@ a network the config cannot build, such as token-MLP mixing with
 inter-set mixing on, clouds with fewer points than the network's k
 needs, a max-pool network with inter-set mixing on clouds where some
 point lies in no neighbourhood), 3 I/O failure (unreadable or
-inconsistent data, config or checkpoint, or a network whose output on
+inconsistent data, config or checkpoint, a split with no clouds to
+train on or evaluate, or a network whose output on
 the evaluated data is non-finite), 4 non-finite training loss or
 non-finite output on the test split after training.
 The PMIX_SEED environment variable overrides data.seed everywhere.
@@ -74,7 +75,10 @@ def cmd_gen(args) -> int:
 
 def _load_dataset(cfg: config_mod.Config) -> tasks.Dataset:
     if cfg["data.dir"]:
-        return cloudio.read_dataset(cfg["data.dir"])
+        dataset = cloudio.read_dataset(cfg["data.dir"])
+        if not dataset.train:
+            raise ValueError(f"{cfg['data.dir']}: no train clouds")
+        return dataset
     spec = tasks.DatasetSpec(
         task=cfg["data.task"],
         classes=cfg["data.classes"],
@@ -97,17 +101,20 @@ def _head_for(task: str, classes: int, dropout: float):
 
 def _network_config(cfg: config_mod.Config, dataset: tasks.Dataset) -> net.NetworkConfig:
     """The config's network, checked by ``NetworkConfig.validate``; a
-    network it cannot build is a usage error."""
+    network it cannot build, or whose head is for another task than the
+    data's, is a usage error."""
+    if cfg["data.task"] != dataset.spec.task:
+        raise UsageError(f"head/task mismatch: config trains a {cfg['data.task']!r} head "
+                         f"but the data directory holds {dataset.spec.task!r} clouds")
     levels = [
         net.LevelSpec(w, b, r)
         for w, b, r in zip(cfg["net.widths"], cfg["net.blocks"], cfg["net.ratios"])
     ]
-    in_channels = dataset.train[0].channels if dataset.train else 3
     ncfg = net.NetworkConfig(
         levels=levels,
         head=_head_for(dataset.spec.task, dataset.spec.classes, cfg["net.dropout"]),
         k=cfg["net.k"],
-        in_channels=in_channels,
+        in_channels=(dataset.train or dataset.test)[0].channels,  # read_dataset keeps one width
         use_intra=cfg["net.use_intra"],
         use_inter=cfg["net.use_inter"],
         use_hier=cfg["net.use_hier"],
@@ -262,13 +269,9 @@ def cmd_eval(args) -> int:
     except (config_mod.ConfigError, ValueError) as e:
         print(f"bad inputs: {e}", file=sys.stderr)
         return EXIT_IO
-    if cfg["data.task"] != dataset.spec.task:
-        print(
-            f"head/task mismatch: config trains a {cfg['data.task']!r} head "
-            f"but the data directory holds {dataset.spec.task!r} clouds",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+    if not (dataset.train if args.split == "train" else dataset.test):
+        print(f"bad inputs: {args.data} has no {args.split} clouds", file=sys.stderr)
+        return EXIT_IO
     network = _network_from_config(cfg, dataset)
     try:
         state = nn.load_checkpoint(args.checkpoint)

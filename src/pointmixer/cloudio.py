@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from .geom import PointCloud
-from .tasks import Dataset, DatasetSpec
+from .tasks import TASKS, Dataset, DatasetSpec
 
 __all__ = ["write_cloud", "read_cloud", "write_dataset", "read_dataset"]
 
@@ -152,6 +152,8 @@ def read_dataset(in_dir) -> Dataset:
             seed=int(header[5]),
         )
         entries = [line.strip() for line in fh if line.strip()]
+    if spec.task not in TASKS:
+        raise ValueError(f"{manifest_path}: unknown task {spec.task!r}")
     splits: dict[str, list] = {"train": [], "test": [], "train_targets": [], "test_targets": []}
     classes = None if spec.task == "recon" else spec.classes  # recon ignores the class count
     first = None  # (path, channels) of the first train or test cloud
@@ -169,6 +171,10 @@ def read_dataset(in_dir) -> Dataset:
     spec.train_clouds = len(splits["train"])
     spec.test_clouds = len(splits["test"])
     if spec.task == "recon":
+        for split in ("train", "test"):  # targets pair with clouds by position
+            if len(splits[f"{split}_targets"]) != len(splits[split]):
+                raise ValueError(f"{manifest_path}: {len(splits[f'{split}_targets'])} {split}_targets "
+                                 f"for {len(splits[split])} {split} clouds")
         return Dataset(
             spec,
             splits["train"],

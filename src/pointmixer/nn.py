@@ -100,9 +100,6 @@ class ParamStore:
         self._entries[name] = _Entry(t, np.zeros(t.data.shape))  # calloc'd: no pass over the bytes
         return t
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
     def __getitem__(self, name: str) -> Tensor:
         return self._entries[name].value
 
@@ -175,14 +172,13 @@ class Linear:
 class LayerNorm:
     gamma: Tensor
     beta: Tensor
-    eps: float = 1e-5
 
     @classmethod
-    def create(cls, store: ParamStore, name: str, width: int, eps: float = 1e-5) -> "LayerNorm":
-        return cls(store.add(f"{name}.gamma", np.ones(width)), store.add(f"{name}.beta", np.zeros(width)), eps)
+    def create(cls, store: ParamStore, name: str, width: int) -> "LayerNorm":
+        return cls(store.add(f"{name}.gamma", np.ones(width)), store.add(f"{name}.beta", np.zeros(width)))
 
     def __call__(self, x) -> Tensor:
-        return layernorm(x, self.gamma, self.beta, self.eps)
+        return layernorm(x, self.gamma, self.beta)
 
 
 @dataclass

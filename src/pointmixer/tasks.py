@@ -472,7 +472,7 @@ def evaluate(network, clouds, task: str, num_classes: int = 0,
             return MetricReport({"miou": miou, "macc": macc, "oa": oa})
         if task == "recon":
             cds, accs, cps, f1s = [], [], [], []
-            for i, (cloud, target) in enumerate(zip(clouds, targets)):
+            for i, (cloud, target) in enumerate(zip(clouds, targets, strict=True)):
                 pred = cloud.positions + _finite_output(net_mod.forward_dense(network, cloud), i)
                 # one pair of nearest searches serves chamfer and occupancy
                 pred_gt, gt_pred = _nearest_sq(pred, target)

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pointmixer import cli, cloudio, config, nn, tasks
+from pointmixer import cli, cloudio, config, geom, net, nn, tasks
 
 
 def run_cli(capsys, *argv):
@@ -587,6 +587,39 @@ def test_gradcheck_injected_fault_names_the_op(capsys):
     assert "gelu" in err or "gelu" in stdout
 
 
+def tape_ops(out) -> set[str]:
+    """The ``_op`` names on the tape behind ``out``."""
+    ops, seen, stack = set(), set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops.add(node._op)
+            stack.extend(node._parents)
+    return ops - {""}
+
+
+def test_gradcheck_probes_cover_every_op_the_network_runs():
+    cloud_pos = np.random.default_rng(0).uniform(-1, 1, (64, 3))
+    cloud = geom.PointCloud(cloud_pos, cloud_pos.copy(), np.zeros(64, dtype=np.int64))
+    levels = [net.LevelSpec(8, 1, 1.0), net.LevelSpec(8, 1, 0.25)]
+    network_ops = set()
+    for variant in ("softmax", "maxpool", "attention", "tokenmlp"):
+        for use_hier in (True, False):
+            for head in (net.DenseHead(2), net.ClassificationHead(2, 0.5)):
+                cfg = net.NetworkConfig(levels=levels, head=head, k=4, variant=variant, use_hier=use_hier,
+                                        use_inter=variant != "tokenmlp")
+                network = net.build_network(cfg, nn.Rng(0))
+                out = (net.forward_dense(network, cloud) if isinstance(head, net.DenseHead)
+                       else net.forward_classify(network, cloud, training=True, rng=nn.Rng(1)))
+                network_ops |= tape_ops(out)
+    probe_ops = set()
+    for _, f, _ in cli._gradcheck_cases(0):
+        probe_ops |= tape_ops(f())
+    assert {"linear", "edge_scores", "segment_softmax", "segment_max"} <= network_ops
+    assert network_ops - probe_ops == set()
+
+
 # -- bench and rfield ------------------------------------------------------------------
 
 
@@ -734,3 +767,90 @@ def test_eval_clouds_of_differing_channel_counts_exit_3(tmp_path, capsys):
     assert_one_line_error(err, "bad inputs: ")
     assert "test/cloud_00002.pmc: 2 feature channels, but" in err
     assert out == ""
+
+
+# -- data directories that disagree with themselves or the config -------------------
+
+
+def gen_dir(capsys, data_dir, task):
+    run_cli(capsys, "gen", "--task", task, "--out", str(data_dir), "--clouds", "2",
+            "--test-clouds", "2", "--points", "64", "--seed", "0")
+    return data_dir / "manifest.txt"
+
+
+def drop_manifest_entries(manifest, prefix, keep=0):
+    """Remove every manifest entry under ``prefix`` past the first ``keep``."""
+    lines = manifest.read_text().splitlines()
+    under = [line for line in lines if line.startswith(prefix)]
+    manifest.write_text("\n".join(line for line in lines if line not in under[keep:]) + "\n")
+
+
+def dir_config(tmp_path, data_dir, task, **overrides):
+    return tiny_train_config(tmp_path, **{
+        "data.dir": str(data_dir), "data.task": task, "data.classes": 2, "net.widths": "8,8", **overrides})
+
+
+@pytest.mark.parametrize("case", ["train_targets", "test_targets", "task"])
+def test_train_on_an_inconsistent_manifest_exits_3(tmp_path, capsys, case):
+    manifest = gen_dir(capsys, tmp_path / "ds", "recon")
+    if case == "task":
+        manifest.write_text(manifest.read_text().replace("pmdataset recon ", "pmdataset foo ", 1))
+        expected = "unknown task 'foo'"
+    else:
+        drop_manifest_entries(manifest, f"{case}/", keep=1)
+        expected = f"1 {case} for 2 {case.split('_')[0]} clouds"
+    code, out, err = run_cli(capsys, "train", str(dir_config(tmp_path, tmp_path / "ds", "recon")))
+    assert code == 3
+    assert_one_line_error(err, f"cannot load data: {manifest}: {expected}")
+    assert not (tmp_path / "run").exists()
+
+
+def test_eval_with_a_test_target_missing_exits_3(tmp_path, capsys):
+    manifest = gen_dir(capsys, tmp_path / "ds", "recon")
+    cfg_path = dir_config(tmp_path, tmp_path / "ds", "recon", **{"train.epochs": 0})
+    assert run_cli(capsys, "train", str(cfg_path))[0] == 0
+    drop_manifest_entries(manifest, "test_targets/", keep=1)
+    code, out, err = run_cli(capsys, "eval", "--config", str(cfg_path),
+                             "--checkpoint", str(tmp_path / "run" / "model.pmix"), "--data", str(tmp_path / "ds"))
+    assert code == 3
+    assert_one_line_error(err, f"bad inputs: {manifest}: 1 test_targets for 2 test clouds")
+    assert out == ""
+
+
+def test_train_without_train_clouds_exits_3(tmp_path, capsys):
+    manifest = gen_dir(capsys, tmp_path / "ds", "seg")
+    drop_manifest_entries(manifest, "train/")
+    code, out, err = run_cli(capsys, "train", str(dir_config(tmp_path, tmp_path / "ds", "seg")))
+    assert code == 3
+    assert_one_line_error(err, f"cannot load data: {tmp_path / 'ds'}: no train clouds")
+
+
+@pytest.mark.parametrize("task", ["cls", "seg", "recon"])
+def test_eval_on_an_empty_split_exits_3_and_on_a_test_only_directory_runs(tmp_path, capsys, task):
+    manifest = gen_dir(capsys, tmp_path / "ds", task)
+    cfg_path = dir_config(tmp_path, tmp_path / "ds", task, **{"data.classes": 3 if task == "cls" else 2,
+                                                              "train.epochs": 0})
+    assert run_cli(capsys, "train", str(cfg_path))[0] == 0
+    ckpt = str(tmp_path / "run" / "model.pmix")
+    drop_manifest_entries(manifest, "train")  # train clouds and, for recon, their targets
+    code, out, err = run_cli(capsys, "eval", "--config", str(cfg_path), "--checkpoint", ckpt,
+                             "--data", str(tmp_path / "ds"))
+    assert code == 0, err
+    drop_manifest_entries(manifest, "test")
+    code, out, err = run_cli(capsys, "eval", "--config", str(cfg_path), "--checkpoint", ckpt,
+                             "--data", str(tmp_path / "ds"))
+    assert code == 3
+    assert_one_line_error(err, f"bad inputs: {tmp_path / 'ds'} has no test clouds")
+    assert out == ""
+
+
+@pytest.mark.parametrize("grid", [False, True])
+def test_train_mismatched_task_exits_2(tmp_path, capsys, grid):
+    gen_dir(capsys, tmp_path / "ds", "seg")
+    cfg_path = dir_config(tmp_path, tmp_path / "ds", "cls")
+    code, out, err = run_cli(capsys, "train", str(cfg_path), *(["--grid"] if grid else []))
+    assert code == 2
+    assert_one_line_error(err, "head/task mismatch: config trains a 'cls' head but the data directory "
+                               "holds 'seg' clouds")
+    assert out == ""
+    assert not (tmp_path / "run" / "model.pmix").exists()

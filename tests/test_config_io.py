@@ -232,3 +232,30 @@ def test_read_dataset_rejects_clouds_of_another_channel_count(tmp_path):
     cloudio.write_dataset(recon, tasks.gen_dataset(tasks.DatasetSpec(task="recon", points=32, train_clouds=2,
                                                                      test_clouds=1, seed=0)))
     assert cloudio.read_dataset(recon).train[0].channels == 3
+
+
+def _recon_dir(tmp_path):
+    spec = tasks.DatasetSpec(task="recon", points=32, train_clouds=2, test_clouds=2, seed=0)
+    cloudio.write_dataset(tmp_path, tasks.gen_dataset(spec))
+    return tmp_path / "manifest.txt"
+
+
+def _drop_manifest_entry(manifest, entry):
+    lines = manifest.read_text().splitlines()
+    lines.remove(entry)
+    manifest.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_read_dataset_rejects_a_missing_target(tmp_path, split):
+    manifest = _recon_dir(tmp_path)
+    _drop_manifest_entry(manifest, f"{split}_targets/cloud_00001.pmc")
+    with pytest.raises(ValueError, match=rf"manifest.txt: 1 {split}_targets for 2 {split} clouds"):
+        cloudio.read_dataset(tmp_path)
+
+
+def test_read_dataset_rejects_an_unknown_task(tmp_path):
+    manifest = _recon_dir(tmp_path)
+    manifest.write_text(manifest.read_text().replace("pmdataset recon ", "pmdataset foo ", 1))
+    with pytest.raises(ValueError, match=r"manifest.txt: unknown task 'foo'"):
+        cloudio.read_dataset(tmp_path)
