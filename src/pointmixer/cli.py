@@ -119,9 +119,6 @@ def _network_config(cfg: config_mod.Config, dataset: tasks.Dataset) -> net.Netwo
         use_inter=cfg["net.use_inter"],
         use_hier=cfg["net.use_hier"],
         variant=cfg["net.variant"],
-        expansion=cfg["net.expansion"],
-        reduction=cfg["net.reduction"],
-        pe_width=cfg["net.pe_width"] or None,
     )
     try:
         ncfg.validate()
@@ -179,10 +176,19 @@ def _write_log_csv(path, log):
             fh.write(f"{row['epoch']},{row['lr']!r},{row['loss']!r},{row['train_metric']!r}\n")
 
 
+def _run_dir(cfg: config_mod.Config) -> str:
+    """Make the run directory and echo the config into it. Called once the
+    run has trained, so a run refused with exit 2 or 3 leaves no directory."""
+    out_dir = cfg["train.out"]
+    os.makedirs(out_dir, exist_ok=True)
+    config_mod.dump(cfg, os.path.join(out_dir, "config.txt"))
+    return out_dir
+
+
 GRID = list(itertools.product((False, True), repeat=3))  # (intra, inter, hier) rows
 
 
-def _ablation_grid(cfg: config_mod.Config, dataset: tasks.Dataset, out_dir: str) -> int:
+def _ablation_grid(cfg: config_mod.Config, dataset: tasks.Dataset) -> int:
     metric_key = {"cls": "oa", "seg": "miou", "recon": "cd"}[dataset.spec.task]
     # every cell's network is checked before the first one trains
     configs = [_network_config(cfg.with_overrides(net__use_intra=i, net__use_inter=j, net__use_hier=h), dataset)
@@ -195,6 +201,7 @@ def _ablation_grid(cfg: config_mod.Config, dataset: tasks.Dataset, out_dir: str)
             _run_training(cfg, dataset, network)
             report = _eval_split(network, dataset, "test" if dataset.test else "train")
         except (tasks.TrainingDiverged, tasks.NonFiniteOutput) as e:
+            _run_dir(cfg)
             print(f"training diverged in grid cell ({use_intra},{use_inter},{use_hier}): {e}",
                   file=sys.stderr)
             return EXIT_DIVERGED
@@ -202,7 +209,7 @@ def _ablation_grid(cfg: config_mod.Config, dataset: tasks.Dataset, out_dir: str)
         rows.append((use_intra, use_inter, use_hier, value))
         marks = ["x" if f else "." for f in (use_intra, use_inter, use_hier)]
         print(f"{marks[0]:^5} {marks[1]:^5} {marks[2]:^4}  {value:.4f}")
-    with open(os.path.join(out_dir, "grid.csv"), "w", encoding="ascii") as fh:
+    with open(os.path.join(_run_dir(cfg), "grid.csv"), "w", encoding="ascii") as fh:
         fh.write(f"intra,inter,hier,{metric_key}\n")
         for r in rows:
             fh.write(f"{int(r[0])},{int(r[1])},{int(r[2])},{r[3]!r}\n")
@@ -225,11 +232,8 @@ def cmd_train(args) -> int:
     except (OSError, ValueError) as e:
         print(f"cannot load data: {e}", file=sys.stderr)
         return EXIT_IO
-    out_dir = cfg["train.out"]
-    os.makedirs(out_dir, exist_ok=True)
-    config_mod.dump(cfg, os.path.join(out_dir, "config.txt"))
     if args.grid:
-        return _ablation_grid(cfg, dataset, out_dir)
+        return _ablation_grid(cfg, dataset)
     network = _network_from_config(cfg, dataset)
     if cfg["train.resume"]:
         try:
@@ -240,8 +244,10 @@ def cmd_train(args) -> int:
     try:
         _, log = _run_training(cfg, dataset, network)
     except tasks.TrainingDiverged as e:
+        _run_dir(cfg)
         print(f"training diverged: {e}", file=sys.stderr)
         return EXIT_DIVERGED
+    out_dir = _run_dir(cfg)
     nn.save_checkpoint(os.path.join(out_dir, "model.pmix"), network.state())
     _write_log_csv(os.path.join(out_dir, "log.csv"), log)
     if log:

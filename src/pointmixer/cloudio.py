@@ -161,6 +161,9 @@ def read_dataset(in_dir) -> Dataset:
         split = rel.split("/", 1)[0]
         if split not in splits:
             raise ValueError(f"{manifest_path}: unknown split in entry {rel!r}")
+        if split.endswith("_targets") and spec.task != "recon":
+            raise ValueError(f"{manifest_path}: entry {rel!r} is a reconstruction target, "
+                             f"but the task is {spec.task!r}")
         path = os.path.join(in_dir, rel)
         cloud = read_cloud(path, classes)
         if split in ("train", "test"):  # one network input width; targets carry no features

@@ -52,9 +52,6 @@ SCHEMA: dict[str, tuple] = {
     "net.use_inter": (True, _bool, "inter-set mixing blocks (inverse maps)"),
     "net.use_hier": (True, _bool, "mixing transitions; false = maxpool/trilinear baseline"),
     "net.dropout": (0.5, float, "classification head dropout rate"),
-    "net.expansion": (2, int, "channel-MLP expansion factor"),
-    "net.reduction": (4, int, "score-MLP hidden reduction factor"),
-    "net.pe_width": (0, int, "positional encoder width; 0 = feature width"),
     "net.seed": (0, int, "parameter init seed"),
     "train.lr": (0.05, float, "base learning rate"),
     "train.momentum": (0.9, float, "SGD momentum"),

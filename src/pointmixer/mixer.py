@@ -90,8 +90,9 @@ class PointMixerParams:
     """Channel MLPs of one softmax mixing layer.
 
     g1 embeds neighbor features, g2 maps [g1(x_j); delta(p_i - p_j)] to one
-    scalar score per edge, g3 produces the values that get mixed. delta is
-    a two-layer MLP over relative positions: 3 -> pe -> pe.
+    scalar score per edge through a fixed hidden width of max(1, C // 4), g3
+    produces the values that get mixed. delta is a two-layer MLP over
+    relative positions: 3 -> pe -> pe, pe = C unless ``pe_width`` is given.
     """
 
     g1: Linear
@@ -109,11 +110,10 @@ class PointMixerParams:
         width: int,
         rng: Rng,
         pe_width: int | None = None,
-        reduction: int = 4,
     ) -> "PointMixerParams":
         pe = pe_width if pe_width else width
         g1 = Linear.create(store, f"{name}.g1", width, width, rng)
-        g2 = Mlp2.create(store, f"{name}.g2", (width + pe, max(1, width // reduction), 1), rng)
+        g2 = Mlp2.create(store, f"{name}.g2", (width + pe, max(1, width // 4), 1), rng)
         g3 = Linear.create(store, f"{name}.g3", width, width, rng)
         delta = Mlp2.create(store, f"{name}.delta", (3, pe, pe), rng)
         return cls(g1, g2, g3, delta, width, pe)
@@ -352,11 +352,9 @@ def create_variant(
     width: int,
     rng: Rng,
     k: int | None = None,
-    pe_width: int | None = None,
-    reduction: int = 4,
 ):
     if kind == "softmax":
-        return PointMixerParams.create(store, name, width, rng, pe_width=pe_width, reduction=reduction)
+        return PointMixerParams.create(store, name, width, rng)
     if kind == "maxpool":
         return MaxPoolParams.create(store, name, width, rng)
     if kind == "attention":
@@ -373,7 +371,7 @@ def create_variant(
 
 @dataclass
 class MixerBlockParams:
-    """Pre-norm residual block: x + mix(LN(x)), then the channel MLP residual."""
+    """Pre-norm residual block: x + mix(LN(x)), then the channel MLP residual (C -> 2C -> C)."""
 
     norm1: LayerNorm
     mix: object
@@ -389,16 +387,13 @@ class MixerBlockParams:
         width: int,
         rng: Rng,
         variant: str = "softmax",
-        expansion: int = 2,
         k: int | None = None,
-        pe_width: int | None = None,
-        reduction: int = 4,
     ) -> "MixerBlockParams":
         return cls(
             LayerNorm.create(store, f"{name}.norm1", width),
-            create_variant(store, f"{name}.mix", variant, width, rng, k=k, pe_width=pe_width, reduction=reduction),
+            create_variant(store, f"{name}.mix", variant, width, rng, k=k),
             LayerNorm.create(store, f"{name}.norm2", width),
-            Mlp2.create(store, f"{name}.channel", (width, expansion * width, width), rng),
+            Mlp2.create(store, f"{name}.channel", (width, 2 * width, width), rng),
             width,
         )
 

@@ -93,9 +93,6 @@ class NetworkConfig:
     use_inter: bool = True
     use_hier: bool = True
     variant: str = "softmax"
-    expansion: int = 2
-    reduction: int = 4
-    pe_width: int | None = None
 
     def validate(self):
         if not self.levels:
@@ -216,9 +213,7 @@ class Network:
 def _block_list(store, prefix, cfg: NetworkConfig, spec: LevelSpec, rng) -> list[tuple[str, MixerBlockParams]]:
     kinds = [kind for kind, on in (("intra", cfg.use_intra), ("inter", cfg.use_inter)) if on]
     return [
-        (kind, MixerBlockParams.create(store, f"{prefix}.b{b}.{kind}", spec.width, rng, variant=cfg.variant,
-                                       expansion=cfg.expansion, k=cfg.k, pe_width=cfg.pe_width,
-                                       reduction=cfg.reduction))
+        (kind, MixerBlockParams.create(store, f"{prefix}.b{b}.{kind}", spec.width, rng, variant=cfg.variant, k=cfg.k))
         for b in range(spec.blocks)
         for kind in kinds
     ]
@@ -228,7 +223,7 @@ def _transition_mix(store, name, width, cfg: NetworkConfig, rng) -> PointMixerPa
     """A transition's mix slot: PointMixer mixing, or None for the asymmetric baseline."""
     if not cfg.use_hier:
         return None
-    return PointMixerParams.create(store, name, width, rng, pe_width=cfg.pe_width, reduction=cfg.reduction)
+    return PointMixerParams.create(store, name, width, rng)
 
 
 def build_network(config: NetworkConfig, rng: Rng) -> Network:

@@ -854,3 +854,98 @@ def test_train_mismatched_task_exits_2(tmp_path, capsys, grid):
                                "holds 'seg' clouds")
     assert out == ""
     assert not (tmp_path / "run" / "model.pmix").exists()
+
+
+# -- refused runs leave no run directory; manifest entries the task has no use for ----------
+
+
+def add_target_entry(manifest, split):
+    """List a copy of the first train cloud as ``<split>/cloud_00000.pmc``."""
+    target = manifest.parent / split / "cloud_00000.pmc"
+    target.parent.mkdir(exist_ok=True)
+    target.write_text((manifest.parent / "train" / "cloud_00000.pmc").read_text())
+    manifest.write_text(manifest.read_text() + f"{split}/cloud_00000.pmc\n")
+
+
+def refused_train_config(tmp_path, capsys, case):
+    """A config that ``pmix train`` refuses, its exit code and its message."""
+    if case == "mismatch":
+        gen_dir(capsys, tmp_path / "ds", "seg")
+        return dir_config(tmp_path, tmp_path / "ds", "cls"), 2, "head/task mismatch"
+    if case == "tokenmlp_inter":
+        return (tiny_train_config(tmp_path, **{"net.variant": "tokenmlp", "net.use_inter": "true"}), 2,
+                "token-MLP mixing cannot run over inverse maps")
+    if case == "too_small":
+        return (tiny_train_config(tmp_path, **{"data.points": 16, "net.k": 16}), 2,
+                "clouds of 16 points are too small for k=16")
+    if case == "uncovered":
+        gen_dir(capsys, tmp_path / "ds", "seg")
+        repeat_first_point(tmp_path / "ds" / "train" / "cloud_00001.pmc", 7)
+        return (maxpool_seg_config(tmp_path, tmp_path / "ds", "run"), 2,
+                "3 points at level 0 lie in no neighbourhood")
+    if case == "unreadable":
+        return tiny_train_config(tmp_path, **{"data.dir": str(tmp_path / "nope")}), 3, "cannot load data: "
+    if case == "target_entry":
+        manifest = gen_dir(capsys, tmp_path / "ds", "cls")
+        add_target_entry(manifest, "train_targets")
+        return (dir_config(tmp_path, tmp_path / "ds", "cls", **{"data.classes": 3}), 3,
+                f"cannot load data: {manifest}: entry 'train_targets/cloud_00000.pmc' is a reconstruction target, "
+                "but the task is 'cls'")
+    assert case == "resume"
+    return (tiny_train_config(tmp_path, **{"train.resume": str(tmp_path / "none.pmix")}), 3,
+            "cannot resume: ")
+
+
+# --grid trains every cell from fresh weights and reads no train.resume
+@pytest.mark.parametrize("case, grid", [
+    (case, grid)
+    for case in ("mismatch", "tokenmlp_inter", "too_small", "uncovered", "unreadable", "target_entry", "resume")
+    for grid in (False, True)
+    if not (grid and case == "resume")
+])
+def test_train_refused_run_creates_no_run_directory(tmp_path, capsys, case, grid):
+    cfg_path, expected_code, message = refused_train_config(tmp_path, capsys, case)
+    code, _, err = run_cli(capsys, "train", str(cfg_path), *(["--grid"] if grid else []))
+    assert code == expected_code
+    assert_one_line_error(err, message)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow on the way to a non-finite loss
+def test_train_diverged_run_keeps_its_config_echo(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "train", str(tiny_train_config(tmp_path, **{"train.lr": 1e300})))
+    assert code == 4
+    assert "training diverged" in err
+    assert (tmp_path / "run" / "config.txt").exists()
+    assert not (tmp_path / "run" / "model.pmix").exists()
+
+
+def test_eval_on_a_seg_manifest_listing_a_target_exits_3(tmp_path, capsys):
+    manifest = gen_dir(capsys, tmp_path / "ds", "seg")
+    cfg_path = dir_config(tmp_path, tmp_path / "ds", "seg", **{"train.epochs": 0})
+    assert run_cli(capsys, "train", str(cfg_path))[0] == 0
+    add_target_entry(manifest, "test_targets")
+    code, out, err = run_cli(capsys, "eval", "--config", str(cfg_path),
+                             "--checkpoint", str(tmp_path / "run" / "model.pmix"), "--data", str(tmp_path / "ds"))
+    assert code == 3
+    assert_one_line_error(err, f"bad inputs: {manifest}: entry 'test_targets/cloud_00000.pmc' is a "
+                               "reconstruction target, but the task is 'seg'")
+    assert out == ""
+
+
+# -- network widths are constants, not config keys ------------------------------------------
+
+
+@pytest.mark.parametrize("key, default", [("net.expansion", 2), ("net.reduction", 4), ("net.pe_width", 0)])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_removed_network_width_keys_exit_3(tmp_path, capsys, key, default, command):
+    cfg_path, ckpt, data_dir = eval_fixture(tmp_path, capsys)
+    named = tmp_path / "named.cfg"
+    named.write_text(cfg_path.read_text().replace("evaltrain", "named") + f"{key} = {default}\n")
+    argv = (["train", str(named)] if command == "train" else
+            ["eval", "--config", str(named), "--checkpoint", str(ckpt), "--data", str(data_dir)])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert_one_line_error(err, f"unknown key {key!r}")
+    assert out == ""
+    assert not (tmp_path / "named").exists()

@@ -259,3 +259,17 @@ def test_read_dataset_rejects_an_unknown_task(tmp_path):
     manifest.write_text(manifest.read_text().replace("pmdataset recon ", "pmdataset foo ", 1))
     with pytest.raises(ValueError, match=r"manifest.txt: unknown task 'foo'"):
         cloudio.read_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("task", ["cls", "seg"])
+@pytest.mark.parametrize("split", ["train_targets", "test_targets"])
+def test_read_dataset_rejects_target_entries_outside_recon(tmp_path, task, split):
+    spec = tasks.DatasetSpec(task=task, classes=2, points=32, train_clouds=2, test_clouds=1, seed=0)
+    cloudio.write_dataset(tmp_path, tasks.gen_dataset(spec))
+    (tmp_path / split).mkdir()
+    (tmp_path / split / "cloud_00000.pmc").write_text((tmp_path / "train" / "cloud_00000.pmc").read_text())
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(manifest.read_text() + f"{split}/cloud_00000.pmc\n")
+    with pytest.raises(ValueError, match=rf"manifest.txt: entry '{split}/cloud_00000.pmc' is a reconstruction "
+                                         rf"target, but the task is '{task}'"):
+        cloudio.read_dataset(tmp_path)
