@@ -332,30 +332,24 @@ def matmul(a, b) -> Tensor:
     return _make(a.data @ b.data, (a, b), bwd, "matmul")
 
 
-def linear(x, W, b=None) -> Tensor:
-    """Fused y = x W^T + b over the last axis; W is (out, in), ``b=None``
-    means no bias."""
-    x, W = as_tensor(x), as_tensor(W)
+def linear(x, W, b) -> Tensor:
+    """Fused y = x W^T + b over the last axis; W is (out, in)."""
+    x, W, b = as_tensor(x), as_tensor(W), as_tensor(b)
     if x.data.shape[-1] != W.data.shape[-1]:
         raise ValueError(f"linear: input width {x.data.shape[-1]} != fan-in {W.data.shape[-1]}")
     lead = x.data.shape[:-1]
     x2 = x.data.reshape(-1, x.data.shape[-1])
     out = x2 @ W.data.T
-    parents = (x, W)
-    if b is not None:
-        b = as_tensor(b)
-        out += b.data
-        parents = (x, W, b)
+    out += b.data
 
     def bwd(g):
         g2 = g.reshape(-1, W.data.shape[0])
         if x.requires_grad:  # a constant input (positions, raw features) needs no gradient
             x._accumulate((g2 @ W.data).reshape(x.data.shape), owned=True)
         W._accumulate(g2.T @ x2, owned=True)
-        if b is not None:
-            b._accumulate(g2.sum(axis=0), owned=True)
+        b._accumulate(g2.sum(axis=0), owned=True)
 
-    return _make(out.reshape(lead + (W.data.shape[0],)), parents, bwd, "linear")
+    return _make(out.reshape(lead + (W.data.shape[0],)), (x, W, b), bwd, "linear")
 
 
 def reshape(a, shape) -> Tensor:
@@ -484,6 +478,11 @@ class Edges:
         object.__setattr__(self, "offsets", _frozen(off))
         object.__setattr__(self, "dst", _frozen(_segment_ids(off)))
         object.__setattr__(self, "src_stop", int(src.max()) + 1 if len(src) else 0)
+
+    @property
+    def edges(self) -> "Edges":
+        """The edge list itself: every ``geom`` index map is an ``Edges``."""
+        return self
 
 
 def _segments(offsets, rows: int) -> tuple[np.ndarray, np.ndarray]:

@@ -5,9 +5,9 @@ Exit codes: 0 success, 2 usage error (bad flags, mismatched head/task,
 a network the config cannot build, such as token-MLP mixing with
 inter-set mixing on, clouds with fewer points than the network's k
 needs, a max-pool network with inter-set mixing on clouds where some
-point lies in no neighbourhood), 3 I/O failure (unreadable or
-inconsistent data, config or checkpoint, a split with no clouds to
-train on or evaluate, or a network whose output on
+point lies in no neighbourhood, --grid with train.resume set), 3 I/O
+failure (unreadable or inconsistent data, config or checkpoint, a split
+with no clouds to train on or evaluate, or a network whose output on
 the evaluated data is non-finite), 4 non-finite training loss or
 non-finite output on the test split after training.
 The PMIX_SEED environment variable overrides data.seed everywhere.
@@ -227,6 +227,9 @@ def cmd_train(args) -> int:
         print(f"bad config: {e}", file=sys.stderr)
         return EXIT_IO
     cfg = cfg.with_overrides(data__seed=_env_seed(cfg["data.seed"]))
+    if args.grid and cfg["train.resume"]:
+        raise UsageError("--grid trains every cell from fresh weights and cannot resume; "
+                         "leave train.resume empty")
     try:
         dataset = _load_dataset(cfg)
     except (OSError, ValueError) as e:
@@ -460,7 +463,7 @@ def cmd_bench(args) -> int:
     print(f"variant    params    latency_ms  peak_kb   ({args.points} pts, k={args.k}, "
           f"C={args.width}, median of {args.iters}, {args.dtype})")
     rows = {}
-    for variant in ("maxpool", "attention", "softmax", "tokenmlp"):
+    for variant in mixer.VARIANTS:
         store = nn.ParamStore()
         v = mixer.create_variant(store, "v", variant, args.width, nn.Rng(args.seed), k=args.k)
         for _, t in store.tensors():
@@ -528,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a synthetic dataset directory")
-    g.add_argument("--task", choices=("cls", "seg", "recon"), required=True)
+    g.add_argument("--task", choices=tasks.TASKS, required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.add_argument("--clouds", type=int, default=120)

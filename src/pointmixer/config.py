@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .mixer import VARIANTS
+from .tasks import TASKS
+
 __all__ = ["Config", "ConfigError", "SCHEMA", "parse", "render", "load", "dump"]
 
 
@@ -35,7 +38,7 @@ def _float_list(text: str):
 
 # key -> (default, parser, help)
 SCHEMA: dict[str, tuple] = {
-    "data.task": ("cls", str, "task: cls | seg | recon"),
+    "data.task": ("cls", str, "task: " + " | ".join(TASKS)),
     "data.seed": (0, int, "dataset seed (PMIX_SEED env var overrides)"),
     "data.points": (256, int, "points per cloud"),
     "data.train_clouds": (120, int, "training clouds"),
@@ -47,7 +50,7 @@ SCHEMA: dict[str, tuple] = {
     "net.blocks": ((1, 1, 1, 1), _int_list, "mixing blocks per level"),
     "net.ratios": ((1.0, 0.25, 0.25, 0.25), _float_list, "down-sampling ratio per level"),
     "net.k": (16, int, "neighbors per query"),
-    "net.variant": ("softmax", str, "mixing operator: softmax | maxpool | attention | tokenmlp"),
+    "net.variant": ("softmax", str, "mixing operator: " + " | ".join(VARIANTS)),
     "net.use_intra": (True, _bool, "intra-set mixing blocks"),
     "net.use_inter": (True, _bool, "inter-set mixing blocks (inverse maps)"),
     "net.use_hier": (True, _bool, "mixing transitions; false = maxpool/trilinear baseline"),
@@ -143,12 +146,12 @@ def dump(config: Config, path):
 
 def validate(config: Config):
     v = config.values
-    if v["data.task"] not in ("cls", "seg", "recon"):
-        raise ConfigError(f"data.task must be cls, seg, or recon, got {v['data.task']!r}")
+    if v["data.task"] not in TASKS:
+        raise ConfigError(f"data.task must be {', '.join(TASKS[:-1])}, or {TASKS[-1]}, got {v['data.task']!r}")
     n = len(v["net.widths"])
     if not (len(v["net.blocks"]) == len(v["net.ratios"]) == n) or n == 0:
         raise ConfigError("net.widths, net.blocks, net.ratios must be equally sized and non-empty")
-    if v["net.variant"] not in ("softmax", "maxpool", "attention", "tokenmlp"):
+    if v["net.variant"] not in VARIANTS:
         raise ConfigError(f"unknown net.variant {v['net.variant']!r}")
     if v["train.schedule"] not in ("cosine", "step"):
         raise ConfigError(f"unknown train.schedule {v['train.schedule']!r}")

@@ -22,15 +22,15 @@ are recomputed exactly and re-ranked, rows that might hide a tie beyond the
 candidates ask again for k + 8, and only rows still unsure fall back to a
 dense search in bounded row blocks. No full N x M distance matrix is built.
 
-Every index map exposes one CSR edge list, ``map.edges`` (an
-``autodiff.Edges``, checked once when built), built here once per map;
-up-sampling adds the ``nearest_samples`` fallback rows to it
+Every index map is one read-only CSR edge list, an ``autodiff.Edges``
+built and checked once, here, when the map is built: a ``NeighborMap`` is
+the stride-k case, an ``InverseNeighborMap`` the variable-row one.
+Up-sampling adds the ``nearest_samples`` fallback rows to an inverse map
 (``up_edges``). The mixing layers only read these edges.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,41 +137,31 @@ class PointCloud:
                 raise ValueError("label out of range")
 
 
-@dataclass
-class NeighborMap:
-    """Fixed-K index map: row q lists the k nearest source indices to query q,
-    ascending by distance, distance ties broken by ascending index."""
+class NeighborMap(Edges):
+    """Fixed-K index map, the stride-k ``Edges``: row q lists the k nearest
+    source indices to query q, ascending by distance, distance ties broken by
+    ascending index. ``indices`` is the read-only (N, k) view of ``src``."""
 
-    indices: np.ndarray  # (N, k) int64
-    source_count: int
-
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-
-    @property
-    def k(self) -> int:
-        return self.indices.shape[1]
-
-    @functools.cached_property
-    def edges(self) -> Edges:
-        n, k = self.indices.shape
-        return Edges(self.indices.ravel(), np.arange(n + 1, dtype=np.int64) * k)
+    def __init__(self, indices, source_count: int):
+        indices = np.asarray(indices, dtype=np.int64)
+        n, k = indices.shape
+        super().__init__(indices.ravel(), np.arange(n + 1, dtype=np.int64) * k)
+        object.__setattr__(self, "indices", self.src.reshape(n, k))
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "source_count", source_count)
 
 
-@dataclass
-class InverseNeighborMap:
-    """Compressed-sparse inverse of a NeighborMap.
+class InverseNeighborMap(Edges):
+    """Compressed-sparse inverse of a NeighborMap (built by ``invert_map``).
 
-    Row i (``indices[offsets[i]:offsets[i+1]]``) lists, ascending, every
-    query j whose forward row contains i. Rows may be empty.
+    Row i (``indices[offsets[i]:offsets[i+1]]``, ``indices`` being ``src``)
+    lists, ascending, every query j whose forward row contains i. Rows may be
+    empty.
     """
 
-    offsets: np.ndarray  # (source_count + 1,) int64
-    indices: np.ndarray  # concatenated query indices
-
-    def __post_init__(self):
-        self.offsets = np.asarray(self.offsets, dtype=np.int64)
-        self.indices = np.asarray(self.indices, dtype=np.int64)
+    @property
+    def indices(self) -> np.ndarray:
+        return self.src
 
     @property
     def source_count(self) -> int:
@@ -182,10 +172,6 @@ class InverseNeighborMap:
 
     def row_lengths(self) -> np.ndarray:
         return np.diff(self.offsets)
-
-    @functools.cached_property
-    def edges(self) -> Edges:
-        return Edges(self.indices, self.offsets)
 
 
 _SLACK = 8  # extra tree candidates per row beyond k in the second tier
@@ -345,7 +331,7 @@ def invert_map(m: NeighborMap) -> InverseNeighborMap:
     # stable sort on source index groups entries by source; within a group the
     # original flat position grows with the query index, keeping rows ascending
     order = np.argsort(flat, kind="stable")
-    return InverseNeighborMap(offsets, m.edges.dst[order])
+    return InverseNeighborMap(m.dst[order], offsets)
 
 
 def nearest_samples(inv: InverseNeighborMap, samples: np.ndarray, points: np.ndarray) -> np.ndarray:

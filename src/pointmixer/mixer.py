@@ -1,12 +1,13 @@
 """Softmax-weighted point-set mixing over forward, inverse, and cross-level
 index maps, plus the three comparison operators (max-pool aggregation,
-vector attention, token-mixing MLPs) behind one interface.
+vector attention, token-mixing MLPs) behind one interface: each operator's
+params class owns its forward, ``mix(x, positions, index_map, geometry)``.
 
 The central layer scores each (query, neighbor) edge with a scalar
 ``g2([g1(x_j); delta(p_i - p_j)])``, normalizes the scores per query with a
 softmax over the neighbor axis, and sums ``g3(x_j)`` under those weights.
-Every map hands the kernel its one ``geom.Edges`` (``map.edges``, or
-``geom.up_edges`` for up-sampling), built in ``geom``, never here. A map's
+Every map is its own ``geom.Edges`` (or, for up-sampling,
+``geom.up_edges`` of one), built in ``geom``, never here. A map's
 per-cloud constants, those edges and each edge's relative position, form a
 ``MapGeometry`` (``map_geometry``): ``Network.prepare`` builds one per map
 and passes it to every layer that mixes over the map (``geometry=``); a
@@ -117,6 +118,10 @@ class PointMixerParams:
         g3 = Linear.create(store, f"{name}.g3", width, width, rng)
         delta = Mlp2.create(store, f"{name}.delta", (3, pe, pe), rng)
         return cls(g1, g2, g3, delta, width, pe)
+
+    def mix(self, x, positions, index_map, geometry: MapGeometry | None) -> Tensor:
+        layer = intra_set_mix if isinstance(index_map, NeighborMap) else inter_set_mix
+        return layer(x, positions, index_map, self, geometry)
 
 
 @dataclass(frozen=True)
@@ -242,6 +247,11 @@ class MaxPoolParams:
     def create(cls, store: ParamStore, name: str, width: int, rng: Rng) -> "MaxPoolParams":
         return cls(Mlp2.create(store, f"{name}.mlp", (width + 3, width, width), rng), width)
 
+    def mix(self, x, positions, index_map, geometry: MapGeometry | None) -> Tensor:
+        geo = _same_level(positions, index_map, geometry)
+        h = self.mlp(concat_last([gather_rows(x, geo.edges.src), Tensor(geo.rel)]))
+        return segment_max(h, geo.edges)
+
 
 @dataclass
 class VectorAttentionParams:
@@ -265,6 +275,14 @@ class VectorAttentionParams:
             Mlp2.create(store, f"{name}.delta", (3, width, width), rng),
             width,
         )
+
+    def mix(self, x, positions, index_map, geometry: MapGeometry | None) -> Tensor:
+        geo = _same_level(positions, index_map, geometry)
+        e = geo.edges
+        pe = self.delta(geo.rel)
+        logits = gather_rows(self.w1(x), e.dst) - gather_rows(self.w2(x), e.src) + pe
+        weights = segment_softmax(self.psi(logits), e)
+        return segment_sum(weights * (gather_rows(self.w3(x), e.src) + pe), e)
 
 
 @dataclass
@@ -291,58 +309,28 @@ class TokenMlpParams:
             width,
         )
 
-
-def _maxpool_mix(x, positions, index_map, v: MaxPoolParams, geometry: MapGeometry | None) -> Tensor:
-    x = as_tensor(x)
-    _check_width(x, v.width)
-    geo = _same_level(positions, index_map, geometry)
-    h = v.mlp(concat_last([gather_rows(x, geo.edges.src), Tensor(geo.rel)]))
-    return segment_max(h, geo.edges)
-
-
-def _attention_mix(x, positions, index_map, v: VectorAttentionParams, geometry: MapGeometry | None) -> Tensor:
-    x = as_tensor(x)
-    _check_width(x, v.width)
-    geo = _same_level(positions, index_map, geometry)
-    e = geo.edges
-    pe = v.delta(geo.rel)
-    logits = gather_rows(v.w1(x), e.dst) - gather_rows(v.w2(x), e.src) + pe
-    weights = segment_softmax(v.psi(logits), e)
-    return segment_sum(weights * (gather_rows(v.w3(x), e.src) + pe), e)
-
-
-def _token_mlp_mix(x, positions, index_map, v: TokenMlpParams) -> Tensor:
-    if not isinstance(index_map, NeighborMap):
-        raise VariableCardinalityError(
-            "token-mixing MLPs require a fixed neighbor count; inverse maps have variable cardinality"
-        )
-    if index_map.k != v.k:
-        raise VariableCardinalityError(f"layer declared K={v.k} but map has K={index_map.k}")
-    x = as_tensor(x)
-    _check_width(x, v.width)
-    n, k = index_map.indices.shape
-    xk = reshape(gather_rows(x, index_map.indices.ravel()), (n, k, v.width))
-    mixed = transpose_last2(v.token_mlp(transpose_last2(v.norm1(xk))))
-    x1 = xk + mixed
-    y = x1 + v.channel_mlp(v.norm2(x1))
-    return reduce_mean(y, axis=1)
+    def mix(self, x, positions, index_map, geometry: MapGeometry | None) -> Tensor:
+        if not isinstance(index_map, NeighborMap):
+            raise VariableCardinalityError(
+                "token-mixing MLPs require a fixed neighbor count; inverse maps have variable cardinality"
+            )
+        if index_map.k != self.k:
+            raise VariableCardinalityError(f"layer declared K={self.k} but map has K={index_map.k}")
+        n, k = index_map.indices.shape
+        xk = reshape(gather_rows(x, index_map.indices.ravel()), (n, k, self.width))
+        mixed = transpose_last2(self.token_mlp(transpose_last2(self.norm1(xk))))
+        x1 = xk + mixed
+        y = x1 + self.channel_mlp(self.norm2(x1))
+        return reduce_mean(y, axis=1)
 
 
 def variant_mix(x, positions, index_map, v, geometry: MapGeometry | None = None) -> Tensor:
-    """Run whichever mixing operator ``v`` parameterizes over the given map
-    (``geometry``: its prepared ``MapGeometry``, which the token MLP does
-    not use)."""
-    if isinstance(v, PointMixerParams):
-        if isinstance(index_map, NeighborMap):
-            return intra_set_mix(x, positions, index_map, v, geometry)
-        return inter_set_mix(x, positions, index_map, v, geometry)
-    if isinstance(v, MaxPoolParams):
-        return _maxpool_mix(x, positions, index_map, v, geometry)
-    if isinstance(v, VectorAttentionParams):
-        return _attention_mix(x, positions, index_map, v, geometry)
-    if isinstance(v, TokenMlpParams):
-        return _token_mlp_mix(x, positions, index_map, v)
-    raise TypeError(f"unknown variant params: {type(v)!r}")
+    """Run whichever mixing operator ``v`` parameterizes over the given map:
+    each params class owns its forward, ``v.mix`` (``geometry``: the map's
+    prepared ``MapGeometry``, which the token MLP does not use)."""
+    x = as_tensor(x)
+    _check_width(x, v.width)
+    return v.mix(x, positions, index_map, geometry)
 
 
 def create_variant(

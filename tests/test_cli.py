@@ -214,6 +214,17 @@ def test_train_tokenmlp_with_inter_set_mixing_exits_2(tmp_path, capsys, grid):
     assert not (tmp_path / "run" / "grid.csv").exists()
 
 
+def test_train_grid_refuses_resume_before_any_cell_trains(tmp_path, capsys):
+    # eight cells with different parameter sets: one checkpoint cannot seed them all
+    cfg_path = tiny_train_config(tmp_path, **{"data.task": "seg", "data.classes": 2,
+                                              "train.resume": str(tmp_path / "missing.pmix")})
+    code, out, err = run_cli(capsys, "train", str(cfg_path), "--grid")
+    assert code == 2
+    assert_one_line_error(err, "train.resume")
+    assert out == ""
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_cosine_log_writes_lr_as_plain_floats(tmp_path, capsys):
     cfg_path = tiny_train_config(tmp_path, "cos", **{"train.schedule": "cosine", "train.epochs": 3})
     assert run_cli(capsys, "train", str(cfg_path))[0] == 0

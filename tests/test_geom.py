@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pointmixer import geom
+from pointmixer import autodiff, geom
 
 import oracles
 
@@ -405,6 +405,19 @@ def test_map_edges_list_rows_in_csr_order_and_are_built_once():
             seg = slice(e.offsets[q], e.offsets[q + 1])
             assert e.src[seg].tolist() == row
             assert np.all(e.dst[seg] == q)
+
+
+def test_index_maps_are_their_own_read_only_edges():
+    pts = random_cloud(np.random.default_rng(16), 12)
+    m = geom.knn(pts, pts, 4)
+    inv = geom.invert_map(m)
+    for index_map in (m, inv):
+        assert isinstance(index_map, autodiff.Edges)
+        assert index_map.edges is index_map
+        with pytest.raises(ValueError):
+            index_map.indices[0] = 0
+    assert np.shares_memory(m.indices, m.src) and m.indices.shape == (12, 4)
+    assert inv.indices is inv.src
 
 
 def test_up_edges_splice_singleton_fallback_rows():

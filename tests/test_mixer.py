@@ -238,6 +238,34 @@ def test_block_all_zero_weights_is_identity():
     assert np.allclose(y.data, x)
 
 
+def test_block_runs_any_operator_that_owns_mix():
+    class Doubling:
+        """A stub operator: a ``width`` and a ``mix`` that records its call."""
+        width = 3
+        calls = []
+
+        def mix(self, x, positions, index_map, geometry):
+            self.calls.append((x.data.copy(), positions, index_map, geometry))
+            return x * 2.0
+
+    store = nn.ParamStore()
+    block = mixer.MixerBlockParams.create(store, "blk", 3, nn.Rng(5))
+    block.mix = op = Doubling()
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(5, 3))
+    pts = rng.uniform(-1, 1, (5, 3))
+    m = geom.knn(pts, pts, 2)
+    y = mixer.mixer_block(Tensor(x), pts, m, block, geometry="geo")
+    st = store.state()
+    h = oracles.layernorm_rows(x, st["blk.norm1.gamma"], st["blk.norm1.beta"])
+    [(seen, seen_pts, seen_map, seen_geo)] = op.calls
+    assert np.allclose(seen, h) and seen_pts is pts and seen_map is m and seen_geo == "geo"
+    x1 = x + 2.0 * h
+    h2 = oracles.layernorm_rows(x1, st["blk.norm2.gamma"], st["blk.norm2.beta"])
+    expected = x1 + np.array([oracles._apply_mlp2(st, "blk.channel", r) for r in h2])
+    assert np.allclose(y.data, expected, atol=1e-9)
+
+
 def test_block_matches_composed_oracle():
     store = nn.ParamStore()
     block = mixer.MixerBlockParams.create(store, "blk", 4, nn.Rng(3))

@@ -666,7 +666,8 @@ def edge_case(rng, n=5, edges=11, pe=5, width=3, dtype=np.float64):
 def edge_scores_by_ops(hidden, src, rel, W1, b1, W_fold, w2, b2):
     """The same score MLP as a chain of single tape ops."""
     z1 = nn.gelu(autodiff.linear(Tensor(rel), W1, b1))
-    a2 = nn.gather_rows(hidden, src) + autodiff.linear(z1, W_fold)
+    no_bias = np.zeros(len(W_fold.data), W_fold.data.dtype)
+    a2 = nn.gather_rows(hidden, src) + autodiff.linear(z1, W_fold, no_bias)
     return autodiff.reshape(autodiff.linear(nn.gelu(a2), w2, b2), (len(src),))
 
 
@@ -1113,7 +1114,7 @@ def test_linear_adopts_its_fresh_gradients_and_copies_the_rest():
     x = Tensor(np.ones((4, 3)), requires_grad=True)
     W = Tensor(np.ones((2, 3)), requires_grad=True)
     g = np.arange(8.0).reshape(4, 2)
-    autodiff.linear(x, W).backward(g)
+    autodiff.linear(x, W, np.zeros(2)).backward(g)
     assert np.array_equal(W.grad, g.T @ x.data) and np.array_equal(x.grad, g @ W.data)
     z = Tensor(np.ones((4, 3)), requires_grad=True)
     seed = np.ones((4, 3))

@@ -45,8 +45,8 @@ import numpy as np
 from pointmixer import autodiff, net, nn, tasks
 from pointmixer.autodiff import Tensor
 from pointmixer.geom import PointCloud
+from pointmixer.mixer import VARIANTS
 
-VARIANTS = ("softmax", "maxpool", "attention", "tokenmlp")
 CHANNELS = 6
 
 
