@@ -479,11 +479,6 @@ class Edges:
         object.__setattr__(self, "dst", _frozen(_segment_ids(off)))
         object.__setattr__(self, "src_stop", int(src.max()) + 1 if len(src) else 0)
 
-    @property
-    def edges(self) -> "Edges":
-        """The edge list itself: every ``geom`` index map is an ``Edges``."""
-        return self
-
 
 def _segments(offsets, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """Checked CSR offsets over ``rows`` rows and the segment id of each row.
@@ -498,18 +493,13 @@ def _segments(offsets, rows: int) -> tuple[np.ndarray, np.ndarray]:
     return off, _segment_ids(off)
 
 
-def _sources(src, rows: int, op: str) -> np.ndarray:
-    """Each edge's source index, checked to lie in ``[0, rows)``. An
+def _sources(e: Edges, rows: int, op: str) -> np.ndarray:
+    """Each edge's source index, checked to lie in ``[0, rows)``. The
     ``Edges`` checked the sign when it was built, so only its ``src_stop``
     is compared here."""
-    if isinstance(src, Edges):
-        col, bad = src.src, src.src_stop > rows
-    else:
-        col = np.asarray(src, dtype=np.int64)
-        bad = col.size and (col.min() < 0 or col.max() >= rows)
-    if bad:
+    if e.src_stop > rows:
         raise IndexError(f"{op} index out of range")
-    return col
+    return e.src
 
 
 def _accumulate_gathered(x: Tensor, idx: np.ndarray, g: np.ndarray):
@@ -802,11 +792,12 @@ def edge_scores(hidden, src, rel, W1, b1, W_fold, w2, b2) -> Tensor:
     ``hidden``'s per-edge gradient back per source row with one sparse
     transpose product."""
     h, W1, b1, wf, w2, b2 = (as_tensor(t) for t in (hidden, W1, b1, W_fold, w2, b2))
-    col = _sources(src, h.data.shape[0], "edge_scores")
+    e = src if isinstance(src, Edges) else Edges(src, [0, np.size(src)])
+    col = _sources(e, h.data.shape[0], "edge_scores")
     rel = np.asarray(rel)
     n_edges, width = len(col), h.data.shape[-1]
     pe = W1.data.shape[0]
-    if (h.data.ndim != 2 or col.ndim != 1 or rel.shape != (n_edges, W1.data.shape[1]) or b1.data.shape != (pe,)
+    if (h.data.ndim != 2 or rel.shape != (n_edges, W1.data.shape[1]) or b1.data.shape != (pe,)
             or wf.data.shape != (width, pe) or w2.data.shape != (1, width) or b2.data.shape != (1,)):
         raise ValueError("edge_scores: inconsistent shapes")
     dtype = np.result_type(h.data, rel, W1.data, b1.data, wf.data, w2.data, b2.data)

@@ -388,13 +388,6 @@ def _gradcheck_cases(seed: int):
         ), pmp_params + [xs])
     )
 
-    pe_store = nn.ParamStore()
-    pmp_pe = mixer.PointMixerParams.create(pe_store, "pm_pe", 4, nn.Rng(seed + 4), pe_width=6)
-    cases.append(
-        ("intra_set_mix_pe6", lambda: autodiff.reduce_sum(mixer.intra_set_mix(feats, pts, m, pmp_pe) * u8),
-         [t for _, t in pe_store.tensors()] + [feats])
-    )
-
     for variant in ("maxpool", "attention", "tokenmlp"):
         vstore = nn.ParamStore()
         v = mixer.create_variant(vstore, "v", variant, 4, nn.Rng(seed + 1), k=3)

@@ -92,7 +92,10 @@ def read_cloud(path, num_classes: int | None = None) -> PointCloud:
         header = fh.readline().split()
         if len(header) != 4 or header[0] != "pmcloud":
             raise ValueError(f"{path}: not a pmcloud file")
-        n, c, has_labels = int(header[1]), int(header[2]), int(header[3])
+        try:
+            n, c, has_labels = int(header[1]), int(header[2]), int(header[3])
+        except ValueError:
+            raise ValueError(f"{path}: malformed header") from None
         if has_labels not in (0, 1) or n < 1 or c < 0:
             raise ValueError(f"{path}: malformed header")
         expected = 3 + c + has_labels
@@ -144,13 +147,16 @@ def read_dataset(in_dir) -> Dataset:
         header = fh.readline().split()
         if len(header) != 6 or header[0] != "pmdataset":
             raise ValueError(f"{manifest_path}: not a dataset manifest")
-        spec = DatasetSpec(
-            task=header[1],
-            classes=int(header[2]),
-            points=int(header[3]),
-            noise=float(header[4]),
-            seed=int(header[5]),
-        )
+        try:
+            spec = DatasetSpec(
+                task=header[1],
+                classes=int(header[2]),
+                points=int(header[3]),
+                noise=float(header[4]),
+                seed=int(header[5]),
+            )
+        except ValueError:
+            raise ValueError(f"{manifest_path}: malformed header") from None
         entries = [line.strip() for line in fh if line.strip()]
     if spec.task not in TASKS:
         raise ValueError(f"{manifest_path}: unknown task {spec.task!r}")

@@ -348,10 +348,10 @@ def nearest_samples(inv: InverseNeighborMap, samples: np.ndarray, points: np.nda
 def up_edges(inv: InverseNeighborMap, fallback: np.ndarray) -> Edges:
     """Up-sampling edges: ``inv``'s edges with each empty row i replaced by
     the singleton row ``[fallback[i]]``. Without empty rows this is
-    ``inv.edges`` itself."""
+    ``inv`` itself."""
     empty = np.flatnonzero(inv.row_lengths() == 0)
     if not len(empty):
-        return inv.edges
+        return inv
     src = np.insert(inv.indices, inv.offsets[empty], np.asarray(fallback, dtype=np.int64)[empty])
     offsets = inv.offsets + np.searchsorted(empty, np.arange(len(inv.offsets)))  # + empty rows before
     return Edges(src, offsets)

@@ -23,7 +23,7 @@ edge: a linear layer commutes with a row gather, so ``g1``, ``g3`` and the
 feature columns of g2's first layer are applied to the N source rows and
 only their results are gathered. The positional columns of g2's first
 layer follow delta's output layer with no nonlinearity between them, so
-they fold into one (C/4, pe) matrix formed once per call. What remains per
+they fold into one (C/4, C) matrix formed once per call. What remains per
 edge (delta's first layer and GELU, that folded product, g2's GELU and g2's
 second layer) is one fused tape op, ``autodiff.edge_scores``, which runs
 over cache-sized blocks of edges. The value sum is one sparse (queries,
@@ -93,7 +93,7 @@ class PointMixerParams:
     g1 embeds neighbor features, g2 maps [g1(x_j); delta(p_i - p_j)] to one
     scalar score per edge through a fixed hidden width of max(1, C // 4), g3
     produces the values that get mixed. delta is a two-layer MLP over
-    relative positions: 3 -> pe -> pe, pe = C unless ``pe_width`` is given.
+    relative positions: 3 -> C -> C.
     """
 
     g1: Linear
@@ -101,7 +101,6 @@ class PointMixerParams:
     g3: Linear
     delta: Mlp2
     width: int
-    pe_width: int
 
     @classmethod
     def create(
@@ -110,14 +109,12 @@ class PointMixerParams:
         name: str,
         width: int,
         rng: Rng,
-        pe_width: int | None = None,
     ) -> "PointMixerParams":
-        pe = pe_width if pe_width else width
         g1 = Linear.create(store, f"{name}.g1", width, width, rng)
-        g2 = Mlp2.create(store, f"{name}.g2", (width + pe, max(1, width // 4), 1), rng)
+        g2 = Mlp2.create(store, f"{name}.g2", (2 * width, max(1, width // 4), 1), rng)
         g3 = Linear.create(store, f"{name}.g3", width, width, rng)
-        delta = Mlp2.create(store, f"{name}.delta", (3, pe, pe), rng)
-        return cls(g1, g2, g3, delta, width, pe)
+        delta = Mlp2.create(store, f"{name}.delta", (3, width, width), rng)
+        return cls(g1, g2, g3, delta, width)
 
     def mix(self, x, positions, index_map, geometry: MapGeometry | None) -> Tensor:
         layer = intra_set_mix if isinstance(index_map, NeighborMap) else inter_set_mix
@@ -152,14 +149,14 @@ def _softmax_mix_edges(x_src: Tensor, geo: MapGeometry, params: PointMixerParams
     ``g2``'s first layer acts on ``[g1(x_j); delta(rel)]``, so it splits by
     columns into a per-point term and a per-edge positional term. The
     positional columns ``W_pos`` directly follow delta's output layer, so
-    the two fold into one (C/4, pe) matrix applied to delta's hidden layer,
+    the two fold into one (C/4, C) matrix applied to delta's hidden layer,
     and ``W_pos @ delta.l2.b`` joins g2's bias in the per-point term. The
     per-edge rest of the score MLP is the one op ``edge_scores``.
     """
     _check_width(x_src, params.width)
     fc1, c = params.g2.fc1, params.width
     pe1, pe2 = params.delta.fc1, params.delta.fc2
-    w_pos = slice_last(fc1.W, c, c + params.pe_width)
+    w_pos = slice_last(fc1.W, c, 2 * c)
     hidden = linear(params.g1(x_src), slice_last(fc1.W, 0, c), linear(pe2.b, w_pos, fc1.b))
     e = geo.edges
     scores = edge_scores(hidden, e, geo.rel, pe1.W, pe1.b, matmul(w_pos, pe2.W), params.g2.fc2.W, params.g2.fc2.b)
@@ -171,7 +168,7 @@ def _same_level(positions, index_map, geometry: MapGeometry | None) -> MapGeomet
     if geometry is not None:
         return geometry
     pos = as_positions(positions)
-    return map_geometry(pos, pos, index_map.edges)
+    return map_geometry(pos, pos, index_map)
 
 
 def intra_set_mix(x, positions, m: NeighborMap, params: PointMixerParams,
@@ -198,7 +195,7 @@ def hier_down_mix(x_o, pos_o, pos_s, m_os: NeighborMap, params: PointMixerParams
     """Pool original-level features into sampled queries via the forward
     cross-level map (queries are the sampled points)."""
     if geometry is None:
-        geometry = map_geometry(as_positions(pos_s), as_positions(pos_o), m_os.edges)
+        geometry = map_geometry(as_positions(pos_s), as_positions(pos_o), m_os)
     return _softmax_mix_edges(as_tensor(x_o), geometry, params)
 
 

@@ -195,12 +195,12 @@ class Network:
         for li, lv in enumerate(hier.levels):
             pos, geo = positions[li], {}
             if cfg.use_intra:
-                geo["intra"] = map_geometry(pos, pos, sl_maps[li].edges)
+                geo["intra"] = map_geometry(pos, pos, sl_maps[li])
             if cfg.use_inter:
-                geo["inter"] = map_geometry(pos, pos, sl_invs[li].edges)
+                geo["inter"] = map_geometry(pos, pos, sl_invs[li])
             if li and cfg.use_hier:
                 prev = positions[li - 1]
-                geo["down"] = map_geometry(pos, prev, lv.down_map.edges)
+                geo["down"] = map_geometry(pos, prev, lv.down_map)
                 if isinstance(cfg.head, DenseHead):  # a classifier has no decoder
                     geo["up"] = map_geometry(prev, pos, geom.up_edges(lv.down_inverse, lv.up_fallback))
             geometry.append(geo)
@@ -264,8 +264,8 @@ def build_network(config: NetworkConfig, rng: Rng) -> Network:
 
 def _apply_blocks(x, blocks, plan: Plan, li: int):
     for kind, block in blocks:
-        index_map = plan.sl_maps[li] if kind == "intra" else plan.sl_invs[li]
-        x = mixer_block(x, plan.positions[li], index_map, block, geometry=plan.geometry[li][kind])
+        geo = plan.geometry[li][kind]
+        x = mixer_block(x, plan.positions[li], geo.edges, block, geometry=geo)
     return x
 
 
@@ -278,7 +278,7 @@ def _transition_down(net: Network, x, plan: Plan, li: int):
                               geometry=plan.geometry[li]["down"])
         return td.lin(mixed)
     # asymmetric baseline: project then max-pool over the down-map neighborhood
-    e = lv.down_map.edges
+    e = lv.down_map
     return segment_max(gather_rows(td.lin(h), e.src), e)
 
 
@@ -296,7 +296,7 @@ def _transition_up(net: Network, x, skip, plan: Plan, li: int):
     d2 = np.sum((pos_o[:, None, :] - pos_s[m3.indices]) ** 2, axis=-1)
     w = 1.0 / (d2 + 1e-10)
     w /= w.sum(axis=1, keepdims=True)
-    return csr_weighted_sum(Tensor(w.ravel()), g, m3.edges) + skip
+    return csr_weighted_sum(Tensor(w.ravel()), g, m3) + skip
 
 
 def _encode(net: Network, plan: Plan, feats):

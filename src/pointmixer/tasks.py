@@ -386,6 +386,11 @@ def train(
 ):
     """Deterministic mini-batch training; per-cloud geometry is built once and
     cached. Returns the trained network and one log row per epoch."""
+    if epochs > 0:  # refuse a schedule that ends early before any step
+        try:
+            schedule.lr(epochs - 1)
+        except ValueError as e:
+            raise ValueError(f"a {schedule.epochs}-epoch schedule cannot train {epochs} epochs: {e}") from None
     task = dataset.spec.task
     cfg = network.config
     min_points = min(c.n for c in dataset.train)
@@ -444,7 +449,7 @@ def _finite_output(out: Tensor, i: int) -> np.ndarray:
 
 
 def evaluate(network, clouds, task: str, num_classes: int = 0,
-             targets=None, tau: float | None = None) -> MetricReport:
+             targets=None) -> MetricReport:
     """Aggregate metrics over a split (confusions pooled across clouds).
 
     Raises NonFiniteOutput (a ValueError) naming the cloud, by its index in
@@ -477,8 +482,7 @@ def evaluate(network, clouds, task: str, num_classes: int = 0,
                 # one pair of nearest searches serves chamfer and occupancy
                 pred_gt, gt_pred = _nearest_sq(pred, target)
                 cds.append(_chamfer_from(pred_gt, gt_pred))
-                t = tau if tau is not None else default_tau(target)
-                a, c, f = _occupancy_from(pred_gt, gt_pred, t)
+                a, c, f = _occupancy_from(pred_gt, gt_pred, default_tau(target))
                 accs.append(a)
                 cps.append(c)
                 f1s.append(f)

@@ -144,6 +144,25 @@ def test_train_unreadable_config_and_data_exit_3(tmp_path, capsys):
     assert run_cli(capsys, "train", str(cfg_path))[0] == 3
 
 
+@pytest.mark.parametrize("target, header", [("train/cloud_00001.pmc", "pmcloud 64x 6 1"),
+                                            ("manifest.txt", "pmdataset seg two 64 0.02 0")],
+                         ids=["cloud", "manifest"])
+def test_train_malformed_header_number_exits_3_naming_the_file(tmp_path, capsys, target, header):
+    data_dir = tmp_path / "segds"
+    assert run_cli(capsys, "gen", "--task", "seg", "--out", str(data_dir), "--clouds", "4",
+                   "--test-clouds", "1", "--points", "64", "--seed", "3")[0] == 0
+    path = data_dir / target
+    lines = path.read_text().splitlines()
+    assert len(lines[0].split()) == len(header.split())
+    path.write_text("\n".join([header] + lines[1:]) + "\n")
+    cfg_path = tiny_train_config(tmp_path, **{"data.dir": str(data_dir), "data.task": "seg", "data.classes": 2})
+    code, out, err = run_cli(capsys, "train", str(cfg_path))
+    assert code == 3
+    assert_one_line_error(err, f"{path}: malformed header")
+    assert out == ""
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_resume_restores_values(tmp_path, capsys):
     cfg_path = tiny_train_config(tmp_path, "first")
     assert run_cli(capsys, "train", str(cfg_path))[0] == 0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,14 @@ def test_cloud_header_count_is_bounded_by_the_file_size(tmp_path):
     assert cloudio.read_cloud(path).labels.tolist() == [1, 0]
 
 
+@pytest.mark.parametrize("header", ["pmcloud 2x 0 0", "pmcloud 2 zero 0", "pmcloud 2 0 1.0"])
+def test_cloud_header_number_that_does_not_parse_names_the_file(tmp_path, header):
+    path = tmp_path / "bad.pmc"
+    path.write_text(f"{header}\n0 0 0\n1 1 1\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: malformed header$"):
+        cloudio.read_cloud(path)
+
+
 def test_dataset_directory_roundtrip(tmp_path):
     spec = tasks.DatasetSpec(task="seg", classes=2, points=32, train_clouds=3,
                              test_clouds=2, seed=5)
@@ -272,4 +282,15 @@ def test_read_dataset_rejects_target_entries_outside_recon(tmp_path, task, split
     manifest.write_text(manifest.read_text() + f"{split}/cloud_00000.pmc\n")
     with pytest.raises(ValueError, match=rf"manifest.txt: entry '{split}/cloud_00000.pmc' is a reconstruction "
                                          rf"target, but the task is '{task}'"):
+        cloudio.read_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("field, bad", [(2, "two"), (3, "64x"), (4, "0.02.1"), (5, "0.5")])
+def test_read_dataset_manifest_number_that_does_not_parse_names_the_file(tmp_path, field, bad):
+    manifest = _recon_dir(tmp_path)
+    lines = manifest.read_text().splitlines()
+    header = lines[0].split()
+    header[field] = bad
+    manifest.write_text("\n".join([" ".join(header)] + lines[1:]) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(manifest))}: malformed header$"):
         cloudio.read_dataset(tmp_path)

@@ -638,7 +638,7 @@ def assert_kernel_matches_per_edge(f, ref, store, x, u):
 
 def test_mixing_layers_keep_float32():
     rng = np.random.default_rng(820)
-    store, p = make_params(8, seed=6, pe_width=6)
+    store, p = make_params(8, seed=6)
     for _, t in store.tensors():
         t.data = t.data.astype(np.float32)
     pts = rng.uniform(-1, 1, (64, 3)).astype(np.float32)
@@ -666,7 +666,7 @@ def coincident_cloud(rng, copies=32, others=64):
 def test_softmax_kernel_matches_per_edge_formula_on_same_level_maps(seed):
     rng = np.random.default_rng(600 + seed)
     store = nn.ParamStore()
-    p = mixer.PointMixerParams.create(store, "mix", 4, nn.Rng(seed), pe_width=6)
+    p = mixer.PointMixerParams.create(store, "mix", 4, nn.Rng(seed))
     for pts in (rng.uniform(-1, 1, (24, 3)), coincident_cloud(rng, 8, 16)):
         n = len(pts)
         x = Tensor(rng.normal(size=(n, 4)), requires_grad=True)
@@ -684,7 +684,7 @@ def test_softmax_kernel_matches_per_edge_formula_on_same_level_maps(seed):
 @pytest.mark.parametrize("k, fallback_rows", [(1, True), (8, False)])
 def test_softmax_kernel_matches_per_edge_formula_on_cross_level_maps(k, fallback_rows):
     rng = np.random.default_rng(700 + k)
-    store, p = make_params(4, seed=k, pe_width=3)
+    store, p = make_params(4, seed=k)
     pts = rng.uniform(-1, 1, (30, 3))
     lv = geom.build_hierarchy(pts, [1.0 / 3.0], k=k).levels[1]
     inv = lv.down_inverse
@@ -705,7 +705,7 @@ def test_softmax_kernel_matches_per_edge_formula_on_cross_level_maps(k, fallback
 def test_softmax_kernel_applies_no_delta_output_layer_per_edge():
     rng = np.random.default_rng(800)
     store = nn.ParamStore()
-    p = mixer.PointMixerParams.create(store, "mix", 4, nn.Rng(0), pe_width=6)
+    p = mixer.PointMixerParams.create(store, "mix", 4, nn.Rng(0))
     pts = rng.uniform(-1, 1, (20, 3))
     m = geom.knn(pts, pts, 4)
     out = mixer.intra_set_mix(Tensor(rng.normal(size=(20, 4)), requires_grad=True), pts, m, p)
@@ -720,16 +720,16 @@ def test_softmax_kernel_applies_no_delta_output_layer_per_edge():
             uses.append((node._op, node.shape))
         stack.extend(node._parents)
     # delta.l2.W only meets W_pos, once per call: one (C/4, pe) product
-    assert uses == [("matmul", (1, 6))]
+    assert uses == [("matmul", (1, 4))]
 
 
 def test_softmax_kernel_over_forced_edge_blocks_matches_per_edge_formula(monkeypatch):
-    # 5 rows per block at pe = 6: segments of 4 edges straddle block ends,
+    # 5 rows per block at pe = C = 4: segments of 4 edges straddle block ends,
     # and 96 edges leave a ragged last block
-    monkeypatch.setattr(autodiff, "_EDGE_BLOCK_FLOATS", 5 * 6)
+    monkeypatch.setattr(autodiff, "_EDGE_BLOCK_FLOATS", 5 * 4)
     rng = np.random.default_rng(810)
     store = nn.ParamStore()
-    p = mixer.PointMixerParams.create(store, "mix", 4, nn.Rng(4), pe_width=6)
+    p = mixer.PointMixerParams.create(store, "mix", 4, nn.Rng(4))
     pts = coincident_cloud(rng, 8, 16)
     n = len(pts)
     x = Tensor(rng.normal(size=(n, 4)), requires_grad=True)
@@ -747,7 +747,7 @@ def test_softmax_kernel_over_forced_edge_blocks_matches_per_edge_formula(monkeyp
 
 def test_softmax_kernel_records_one_per_edge_score_node():
     rng = np.random.default_rng(811)
-    store, p = make_params(4, seed=5, pe_width=6)
+    store, p = make_params(4, seed=5)
     pts = rng.uniform(-1, 1, (20, 3))
     m = geom.knn(pts, pts, 4)
     out = mixer.intra_set_mix(Tensor(rng.normal(size=(20, 4)), requires_grad=True), pts, m, p)
@@ -827,8 +827,8 @@ def test_map_geometry_holds_the_edges_and_each_edges_relative_position():
     rng = np.random.default_rng(910)
     pts = rng.uniform(-1, 1, (20, 3))
     lv = geom.build_hierarchy(pts, [0.25], k=4).levels[1]
-    geo = mixer.map_geometry(lv.positions, pts, lv.down_map.edges)
-    e = lv.down_map.edges
+    geo = mixer.map_geometry(lv.positions, pts, lv.down_map)
+    e = lv.down_map
     assert geo.edges is e
     assert np.array_equal(geo.rel, lv.positions[e.dst] - pts[e.src])
     assert not geo.rel.flags.writeable
@@ -856,7 +856,7 @@ def test_layers_give_the_same_bits_with_a_prepared_geometry(variant):
     tensors = [t for _, t in store.tensors()] + [x]
     maps = [m] if variant in ("tokenmlp", "maxpool") else [m, inv]  # max-pool refuses empty rows
     for index_map in maps:
-        geo = mixer.map_geometry(pts, pts, index_map.edges)
+        geo = mixer.map_geometry(pts, pts, index_map)
         per_call = _outputs_and_grads(lambda: mixer.variant_mix(x, pts, index_map, v), tensors)
         prepared = _outputs_and_grads(lambda: mixer.variant_mix(x, pts, index_map, v, geo), tensors)
         for a, b in zip(per_call, prepared):
@@ -867,7 +867,7 @@ def test_layers_give_the_same_bits_with_a_prepared_geometry(variant):
     store, p = make_params(4, seed=2)
     xs = Tensor(rng.normal(size=(lv.n, 4)), requires_grad=True)
     tensors = [t for _, t in store.tensors()] + [x, xs]
-    down = mixer.map_geometry(lv.positions, pts, lv.down_map.edges)
+    down = mixer.map_geometry(lv.positions, pts, lv.down_map)
     up = mixer.map_geometry(pts, lv.positions, geom.up_edges(lv.down_inverse, lv.up_fallback))
     pairs = [
         (lambda: mixer.hier_down_mix(x, pts, lv.positions, lv.down_map, p),

@@ -290,6 +290,32 @@ def test_plan_reuses_the_identity_level_map_and_inverse():
     assert no_inter.prepare(cloud_from(np.random.default_rng(6), 32).positions).sl_invs == [None, None]
 
 
+@pytest.mark.parametrize("head", [net.DenseHead(2), net.ClassificationHead(3)], ids=["dense", "classify"])
+def test_each_block_mixes_over_its_level_map_and_that_maps_geometry(monkeypatch, head):
+    network = net.build_network(tiny_config(head), nn.Rng(0))
+    cloud = cloud_from(np.random.default_rng(6), 32)
+    plan = network.prepare(cloud.positions)
+    kinds = {id(block): kind for blocks in network.enc_blocks + network.dec_blocks for kind, block in blocks}
+    calls, block_fn = [], net.mixer_block
+
+    def recorder(x, positions, index_map, block, geometry=None):
+        calls.append((positions, index_map, kinds[id(block)], geometry))
+        return block_fn(x, positions, index_map, block, geometry=geometry)
+
+    monkeypatch.setattr(net, "mixer_block", recorder)
+    if isinstance(head, net.DenseHead):
+        net.forward_dense(network, cloud, plan=plan)
+    else:
+        net.forward_classify(network, cloud, plan=plan)
+    # two levels of (intra, inter) blocks in the encoder, and level 0's again in the decoder
+    assert [kind for *_, kind, _ in calls] == ["intra", "inter"] * (3 if isinstance(head, net.DenseHead) else 2)
+    for positions, index_map, kind, geometry in calls:
+        li = next(i for i, p in enumerate(plan.positions) if p is positions)
+        assert index_map is (plan.sl_maps[li] if kind == "intra" else plan.sl_invs[li])
+        assert geometry is plan.geometry[li][kind]
+        assert geometry.edges is index_map
+
+
 # -- end-to-end gradient check --------------------------------------------------------
 
 

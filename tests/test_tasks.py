@@ -223,6 +223,15 @@ def test_train_zero_epochs_leaves_parameters():
         assert np.array_equal(before[k], after[k])
 
 
+def test_train_refuses_a_schedule_shorter_than_the_run_before_any_step():
+    ds, network = small_cls_setup()
+    before = {name: t.data.copy() for name, t in network.store.tensors()}
+    with pytest.raises(ValueError, match="1-epoch schedule cannot train 2 epochs"):
+        tasks.train(network, ds, tasks.Schedule(epochs=1), epochs=2, batch=2, rng=nn.Rng(0))
+    for name, t in network.store.tensors():
+        assert np.array_equal(t.data, before[name]), name
+
+
 def test_single_step_matches_hand_composition():
     ds, network = small_cls_setup()
     twin_ds, twin = small_cls_setup()
@@ -407,8 +416,7 @@ def test_occupancy_rejects_empty_and_bad_tau():
         tasks.occupancy_metrics(gt, gt, 0.0)
 
 
-@pytest.mark.parametrize("tau", [None, 0.3])
-def test_recon_evaluate_searches_once_per_direction_and_matches_the_metrics(monkeypatch, tau):
+def test_recon_evaluate_searches_once_per_direction_and_matches_the_metrics(monkeypatch):
     spec = tasks.DatasetSpec(task="recon", points=48, train_clouds=2, test_clouds=3, noise=0.05, seed=1)
     ds = tasks.gen_dataset(spec)
     cfg = net.NetworkConfig(levels=[net.LevelSpec(6, 1, 1.0)], head=net.DenseHead(3), k=4, in_channels=3)
@@ -421,18 +429,17 @@ def test_recon_evaluate_searches_once_per_direction_and_matches_the_metrics(monk
         return search(sources, queries, exclude_self=exclude_self)
 
     monkeypatch.setattr(tasks, "nearest", counted)
-    rep = tasks.evaluate(network, ds.test, "recon", targets=ds.test_targets, tau=tau)
+    rep = tasks.evaluate(network, ds.test, "recon", targets=ds.test_targets)
     # per cloud: prediction -> target, target -> prediction, and default_tau's self search
     assert calls.count(False) == 2 * len(ds.test)
-    assert calls.count(True) == (len(ds.test) if tau is None else 0)
+    assert calls.count(True) == len(ds.test)
     monkeypatch.setattr(tasks, "nearest", search)
     cds, accs, cps, f1s = [], [], [], []
     with autodiff.no_grad():
         for cloud, target in zip(ds.test, ds.test_targets):
             pred = cloud.positions + net.forward_dense(network, cloud).data
             cds.append(tasks.chamfer(pred, target))
-            t = tau if tau is not None else tasks.default_tau(target)
-            a, c, f = tasks.occupancy_metrics(pred, target, t)
+            a, c, f = tasks.occupancy_metrics(pred, target, tasks.default_tau(target))
             accs.append(a)
             cps.append(c)
             f1s.append(f)
