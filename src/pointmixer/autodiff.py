@@ -280,12 +280,19 @@ def _make(data, parents, backward, op: str = "") -> Tensor:
     return out
 
 
+def _sum64(x, axis: int, keepdims: bool = False):
+    """``x.sum(axis)`` accumulated in float64 and cast back to x's dtype: a
+    float32 sum over many rows stays within float32 rounding of the exact
+    sum, and a float64 sum keeps the bits of ``x.sum(axis)``."""
+    return x.sum(axis=axis, dtype=np.float64, keepdims=keepdims).astype(x.dtype, copy=False)
+
+
 def _unbroadcast(grad, shape):
     while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+        grad = _sum64(grad, 0)
     for axis, extent in enumerate(shape):
         if extent == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
+            grad = _sum64(grad, axis, keepdims=True)
     return grad
 
 
@@ -347,7 +354,7 @@ def linear(x, W, b) -> Tensor:
         if x.requires_grad:  # a constant input (positions, raw features) needs no gradient
             x._accumulate((g2 @ W.data).reshape(x.data.shape), owned=True)
         W._accumulate(g2.T @ x2, owned=True)
-        b._accumulate(g2.sum(axis=0), owned=True)
+        b._accumulate(_sum64(g2, 0), owned=True)
 
     return _make(out.reshape(lead + (W.data.shape[0],)), (x, W, b), bwd, "linear")
 
@@ -417,7 +424,8 @@ def reduce_mean(a, axis: int) -> Tensor:
     def bwd(g):
         a._accumulate(np.broadcast_to(np.expand_dims(g, axis) / n, shape).copy())
 
-    return _make(a.data.mean(axis=axis), (a,), bwd, "reduce_mean")
+    out = a.data.mean(axis=axis, dtype=np.float64).astype(a.data.dtype, copy=False)  # as in _sum64
+    return _make(out, (a,), bwd, "reduce_mean")
 
 
 def max_axis1(a) -> Tensor:

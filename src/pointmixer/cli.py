@@ -5,7 +5,8 @@ Exit codes: 0 success, 2 usage error (bad flags, mismatched head/task,
 a network the config cannot build, such as token-MLP mixing with
 inter-set mixing on, clouds with fewer points than the network's k
 needs, a max-pool network with inter-set mixing on clouds where some
-point lies in no neighbourhood, --grid with train.resume set), 3 I/O
+point lies in no neighbourhood, --grid with train.resume set, a
+checkpoint whose parameter names or shapes differ from the network's), 3 I/O
 failure (unreadable or inconsistent data, config or checkpoint, a split
 with no clouds to train on or evaluate, or a network whose output on
 the evaluated data is non-finite), 4 non-finite training loss or
@@ -132,13 +133,7 @@ def _network_from_config(cfg: config_mod.Config, dataset: tasks.Dataset) -> net.
 
 
 def _schedule_from_config(cfg: config_mod.Config) -> tasks.Schedule:
-    return tasks.Schedule(
-        kind=cfg["train.schedule"],
-        base_lr=cfg["train.lr"],
-        epochs=max(1, cfg["train.epochs"]),
-        milestones=cfg["train.milestones"],
-        factor=cfg["train.factor"],
-    )
+    return tasks.Schedule(base_lr=cfg["train.lr"], epochs=max(1, cfg["train.epochs"]))
 
 
 def _run_training(cfg: config_mod.Config, dataset: tasks.Dataset, network: net.Network):
@@ -216,6 +211,24 @@ def _ablation_grid(cfg: config_mod.Config, dataset: tasks.Dataset) -> int:
     return EXIT_OK
 
 
+def _load_checkpoint_into(network: net.Network, path, unreadable: str) -> int:
+    """Load the checkpoint at ``path`` into ``network``. Returns EXIT_OK, or
+    the exit code after one stderr line: 3 for a file that cannot be read
+    (prefixed ``unreadable``), 2 for one whose names or shapes differ from
+    the network's."""
+    try:
+        state = nn.load_checkpoint(path)
+    except (OSError, ValueError) as e:
+        print(f"{unreadable}: {e}", file=sys.stderr)
+        return EXIT_IO
+    try:
+        network.store.load_state(state)
+    except ValueError as e:
+        print(f"checkpoint does not fit this network: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
+
+
 def cmd_train(args) -> int:
     try:
         cfg = config_mod.load(args.config)
@@ -239,11 +252,9 @@ def cmd_train(args) -> int:
         return _ablation_grid(cfg, dataset)
     network = _network_from_config(cfg, dataset)
     if cfg["train.resume"]:
-        try:
-            network.store.load_state(nn.load_checkpoint(cfg["train.resume"]))
-        except (OSError, ValueError) as e:
-            print(f"cannot resume: {e}", file=sys.stderr)
-            return EXIT_IO
+        code = _load_checkpoint_into(network, cfg["train.resume"], "cannot resume")
+        if code:
+            return code
     try:
         _, log = _run_training(cfg, dataset, network)
     except tasks.TrainingDiverged as e:
@@ -282,16 +293,9 @@ def cmd_eval(args) -> int:
         print(f"bad inputs: {args.data} has no {args.split} clouds", file=sys.stderr)
         return EXIT_IO
     network = _network_from_config(cfg, dataset)
-    try:
-        state = nn.load_checkpoint(args.checkpoint)
-    except (OSError, ValueError) as e:
-        print(f"cannot read checkpoint: {e}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        network.store.load_state(state)
-    except ValueError as e:
-        print(f"checkpoint does not fit this network: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    code = _load_checkpoint_into(network, args.checkpoint, "cannot read checkpoint")
+    if code:
+        return code
     try:
         report = _eval_split(network, dataset, args.split)
     except tasks.NonFiniteOutput as e:
@@ -423,26 +427,21 @@ def _gradcheck_cases(seed: int):
 
 
 def cmd_gradcheck(args) -> int:
-    if args.inject_fault:
-        autodiff.inject_backward_fault(args.inject_fault)
-    try:
-        worst_name, worst_err = "", -1.0
-        failed = []
-        for name, f, params in _gradcheck_cases(args.seed):
-            err = nn.check_gradient(f, params, h=args.h)
-            status = "ok" if err < args.tol else "FAIL"
-            print(f"{name:<20} max_rel_err={err:.3e}  {status}")
-            if err > worst_err:
-                worst_name, worst_err = name, err
-            if err >= args.tol:
-                failed.append(name)
-        print(f"worst: {worst_name} ({worst_err:.3e})")
-        if failed:
-            print(f"gradient check failed for: {', '.join(failed)}", file=sys.stderr)
-            return 1
-        return EXIT_OK
-    finally:
-        autodiff.inject_backward_fault(None)
+    worst_name, worst_err = "", -1.0
+    failed = []
+    for name, f, params in _gradcheck_cases(args.seed):
+        err = nn.check_gradient(f, params, h=args.h)
+        status = "ok" if err < args.tol else "FAIL"
+        print(f"{name:<20} max_rel_err={err:.3e}  {status}")
+        if err > worst_err:
+            worst_name, worst_err = name, err
+        if err >= args.tol:
+            failed.append(name)
+    print(f"worst: {worst_name} ({worst_err:.3e})")
+    if failed:
+        print(f"gradient check failed for: {', '.join(failed)}", file=sys.stderr)
+        return 1
+    return EXIT_OK
 
 
 # -- bench ---------------------------------------------------------------------
@@ -552,8 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--h", type=float, default=1e-5)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--tol", type=float, default=1e-4)
-    c.add_argument("--inject-fault", default=None,
-                   help="test hook: flip the named op's backward sign")
     c.set_defaults(func=cmd_gradcheck)
 
     b = sub.add_parser("bench", help="per-variant parameter/latency/memory table")

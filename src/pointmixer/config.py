@@ -61,9 +61,6 @@ SCHEMA: dict[str, tuple] = {
     "train.weight_decay": (0.0001, float, "weight decay (folded into the gradient)"),
     "train.epochs": (30, int, "training epochs"),
     "train.batch": (2, int, "clouds per optimizer step"),
-    "train.schedule": ("cosine", str, "lr schedule: cosine | step"),
-    "train.milestones": ((40, 50), _int_list, "step schedule milestones"),
-    "train.factor": (0.1, float, "step schedule decay factor"),
     "train.seed": (0, int, "shuffle / dropout seed"),
     "train.out": ("runs/latest", str, "run directory (config echo, checkpoint, log)"),
     "train.resume": ("", str, "checkpoint to resume parameter values from"),
@@ -153,7 +150,5 @@ def validate(config: Config):
         raise ConfigError("net.widths, net.blocks, net.ratios must be equally sized and non-empty")
     if v["net.variant"] not in VARIANTS:
         raise ConfigError(f"unknown net.variant {v['net.variant']!r}")
-    if v["train.schedule"] not in ("cosine", "step"):
-        raise ConfigError(f"unknown train.schedule {v['train.schedule']!r}")
     if v["train.epochs"] < 0 or v["train.batch"] < 1:
         raise ConfigError("train.epochs must be >= 0 and train.batch >= 1")

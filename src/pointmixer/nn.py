@@ -43,7 +43,6 @@ __all__ = [
     "dropout",
     "sgd_step",
     "cosine_lr",
-    "step_lr",
     "check_gradient",
     "save_checkpoint",
     "load_checkpoint",
@@ -239,12 +238,6 @@ def cosine_lr(epoch: int, total_epochs: int, base_lr: float) -> float:
     if not 0 <= epoch < total_epochs:
         raise ValueError("epoch out of range")
     return float(base_lr * (1.0 + np.cos(np.pi * epoch / total_epochs)) / 2.0)
-
-
-def step_lr(epoch: int, milestones, base_lr: float, factor: float) -> float:
-    """Multiply base_lr by `factor` once per milestone already reached."""
-    passed = sum(1 for m in milestones if epoch >= m)
-    return base_lr * factor**passed
 
 
 # -- verification ----------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 from . import net as net_mod
 from .autodiff import Tensor, no_grad, reduce_sum, gather_rows, _make
 from .geom import PointCloud, level_sizes, nearest
-from .nn import Rng, cosine_lr, sgd_step, step_lr
+from .nn import Rng, cosine_lr, sgd_step
 
 __all__ = [
     "DatasetSpec",
@@ -345,14 +345,10 @@ class Schedule:
     kind: str = "cosine"
     base_lr: float = 0.05
     epochs: int = 30
-    milestones: tuple = (40, 50)
-    factor: float = 0.1
 
     def lr(self, epoch: int) -> float:
         if self.kind == "cosine":
             return cosine_lr(epoch, self.epochs, self.base_lr)
-        if self.kind == "step":
-            return step_lr(epoch, self.milestones, self.base_lr, self.factor)
         raise ValueError(f"unknown schedule {self.kind!r}")
 
 

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pointmixer import cli, cloudio, config, geom, net, nn, tasks
+from pointmixer import autodiff, cli, cloudio, config, geom, net, nn, tasks
 
 
 def run_cli(capsys, *argv):
@@ -245,7 +245,7 @@ def test_train_grid_refuses_resume_before_any_cell_trains(tmp_path, capsys):
 
 
 def test_train_cosine_log_writes_lr_as_plain_floats(tmp_path, capsys):
-    cfg_path = tiny_train_config(tmp_path, "cos", **{"train.schedule": "cosine", "train.epochs": 3})
+    cfg_path = tiny_train_config(tmp_path, "cos", **{"train.epochs": 3})
     assert run_cli(capsys, "train", str(cfg_path))[0] == 0
     rows = (tmp_path / "cos" / "log.csv").read_text().splitlines()[1:]
     assert len(rows) == 3
@@ -344,6 +344,20 @@ def test_train_resume_from_truncated_checkpoint_exits_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "train", str(resume_cfg))
     assert code == 3
     assert "truncated checkpoint" in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_checkpoint_from_another_network_exits_2(tmp_path, capsys, command):
+    _, ckpt, data_dir = eval_fixture(tmp_path, capsys)  # trained at widths 8,12
+    other = tiny_train_config(tmp_path, "other", **{"data.dir": str(data_dir), "net.widths": "8,8",
+                                                     "train.resume": str(ckpt)})
+    argv = (["train", str(other)] if command == "train" else
+            ["eval", "--config", str(other), "--checkpoint", str(ckpt), "--data", str(data_dir)])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert_one_line_error(err, "checkpoint does not fit this network: shape mismatch for ")
+    assert out == ""
+    assert not (tmp_path / "other").exists()
 
 
 def test_eval_non_finite_feature_exits_3(tmp_path, capsys):
@@ -610,8 +624,11 @@ def test_gradcheck_reproducible_output(capsys):
 
 
 def test_gradcheck_injected_fault_names_the_op(capsys):
-    code, stdout, err = run_cli(capsys, "gradcheck", "--seed", "7",
-                                "--inject-fault", "gelu")
+    autodiff.inject_backward_fault("gelu")
+    try:
+        code, stdout, err = run_cli(capsys, "gradcheck", "--seed", "7")
+    finally:
+        autodiff.inject_backward_fault(None)
     assert code != 0
     assert "FAIL" in stdout
     assert "gelu" in err or "gelu" in stdout
@@ -963,10 +980,12 @@ def test_eval_on_a_seg_manifest_listing_a_target_exits_3(tmp_path, capsys):
     assert out == ""
 
 
-# -- network widths are constants, not config keys ------------------------------------------
+# -- removed config keys: network widths and the step schedule -------------------------------
 
 
-@pytest.mark.parametrize("key, default", [("net.expansion", 2), ("net.reduction", 4), ("net.pe_width", 0)])
+@pytest.mark.parametrize("key, default", [("net.expansion", 2), ("net.reduction", 4), ("net.pe_width", 0),
+                                          ("train.schedule", "cosine"), ("train.milestones", "40,50"),
+                                          ("train.factor", 0.1)])
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_removed_network_width_keys_exit_3(tmp_path, capsys, key, default, command):
     cfg_path, ckpt, data_dir = eval_fixture(tmp_path, capsys)

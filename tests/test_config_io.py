@@ -56,8 +56,6 @@ def test_validate_cross_field_rules():
         config.validate(config.parse("net.widths = 8,16\nnet.blocks = 1"))
     with pytest.raises(config.ConfigError):
         config.validate(config.parse("data.task = foo"))
-    with pytest.raises(config.ConfigError):
-        config.validate(config.parse("train.schedule = linear"))
     config.validate(config.defaults())
 
 

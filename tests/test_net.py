@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -535,3 +537,57 @@ def test_maxpool_prepare_refuses_points_in_no_neighbourhood():
     network.prepare(rng.uniform(-1, 1, (32, 3)))  # a cloud without empty rows
     no_inter = net.build_network(tiny_config(net.DenseHead(2), variant="maxpool", use_inter=False), nn.Rng(0))
     assert np.all(np.isfinite(net.forward_dense(no_inter, PointCloud(pos, pos.copy())).data))
+
+
+# -- degenerate clouds across every variant and head ---------------------------------
+
+
+def degenerate_positions(case):
+    """32 points (8 for "two_k") of one degenerate kind, for k = 4."""
+    rng = np.random.default_rng(15)
+    pos = rng.uniform(-1, 1, (8 if case == "two_k" else 32, 3))
+    if case == "repeated":
+        pos[1:9] = pos[0]  # 2k + 1 copies of one point
+    elif case == "coincident":
+        pos[:] = pos[0]
+    elif case == "collinear":
+        pos = pos[:, :1] * np.array([[0.6, -0.3, 0.2]]) + 0.1
+    elif case == "coplanar":
+        pos = pos[:, :1] * np.array([[0.5, 0.5, 0.0]]) + pos[:, 1:2] * np.array([[0.0, -0.4, 0.7]])
+    elif case == "tiny":
+        pos *= 1e-200  # squared distances underflow to 0
+    elif case == "huge":
+        pos *= 1e149  # just under geom.COORD_LIMIT
+    return pos
+
+
+@pytest.mark.parametrize("case", ["uniform", "repeated", "coincident", "collinear", "coplanar",
+                                  "two_k", "tiny", "huge"])
+def test_degenerate_clouds_give_finite_outputs_and_gradients_or_a_documented_refusal(case):
+    pos = degenerate_positions(case)
+    cloud = PointCloud(pos, pos.copy())
+    outcomes = {}
+    for variant, use_hier, head in itertools.product(["softmax", "maxpool", "attention", "tokenmlp"], [True, False],
+                                                     [net.DenseHead(2), net.ClassificationHead(3, dropout=0.0)]):
+        key = (variant, use_hier, type(head).__name__)
+        cfg = net.NetworkConfig(levels=[net.LevelSpec(8, 1, 1.0), net.LevelSpec(8, 1, 0.25)], head=head, k=4,
+                                use_inter=variant != "tokenmlp", use_hier=use_hier, variant=variant)
+        network = net.build_network(cfg, nn.Rng(0))
+        forward = net.forward_dense if isinstance(head, net.DenseHead) else net.forward_classify
+        try:
+            out = forward(network, cloud)
+        except (net.UncoveredPoints, mixer.VariableCardinalityError) as e:
+            outcomes[key] = type(e)
+            continue
+        assert np.all(np.isfinite(out.data)), key
+        out.backward(np.ones_like(out.data))
+        for name, t in network.store.tensors():
+            assert t.grad is not None and np.all(np.isfinite(t.grad)), (key, name)
+        outcomes[key] = "finite"
+    # max-pool inter-set mixing refuses points in no neighbourhood; at 1e-200 every
+    # distance ties at 0, so neighbours go by index and most points are in none.
+    # With 2k points level 1 keeps 2 < k points, too few for a token MLP.
+    refused = {"maxpool": net.UncoveredPoints} if case in ("repeated", "coincident", "tiny") else {}
+    if case == "two_k":
+        refused = {"tokenmlp": mixer.VariableCardinalityError}
+    assert outcomes == {key: refused.get(key[0], "finite") for key in outcomes}

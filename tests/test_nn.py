@@ -478,12 +478,6 @@ def test_cosine_schedule_endpoints():
         nn.cosine_lr(10, 10, 0.5)
 
 
-def test_step_schedule_milestones():
-    assert nn.step_lr(45, (40, 50), 0.1, 0.1) == pytest.approx(0.01)
-    assert nn.step_lr(0, (40, 50), 0.1, 0.1) == pytest.approx(0.1)
-    assert nn.step_lr(55, (40, 50), 0.1, 0.1) == pytest.approx(0.001)
-
-
 # -- dropout, rng, init -----------------------------------------------------------------
 
 
@@ -648,6 +642,29 @@ def test_float32_segment_reductions_are_exact_per_segment_at_a_million_edges():
     p = nn.segment_softmax(Tensor(scores), offsets).data.astype(np.float64)
     sums = np.array([math.fsum(seg) for seg in np.split(p, offsets[1:-1])])
     assert np.all(np.abs(sums[lengths > 0] - 1.0) <= 2 * 33 * 2.0**-24)
+
+
+@pytest.mark.parametrize("n", [2**10, 2**14, 2**18])
+def test_float32_sums_over_all_points_stay_within_float32_rounding(n):
+    import math
+
+    u = np.random.default_rng(22).uniform(0.0, 1.0, (n, 8)).astype(np.float32)
+    exact = np.array([math.fsum(col) for col in u.astype(np.float64).T])
+
+    def rel_err(got):
+        assert got.dtype == np.float32
+        return np.max(np.abs(got.astype(np.float64) - exact) / exact)
+
+    mean = autodiff.reduce_mean(Tensor(u), axis=0).data
+    zeros = np.zeros((n, 8), np.float32)
+    b = Tensor(np.zeros(8, np.float32), requires_grad=True)
+    nn.linear(Tensor(zeros), Tensor(np.eye(8, dtype=np.float32)), b).backward(u)
+    beta = Tensor(np.zeros(8, np.float32), requires_grad=True)
+    nn.layernorm(Tensor(u), Tensor(np.ones(8, np.float32)), beta).backward(u)
+    # each is the column sum of u (the mean scaled by a power of two), rounded once to float32
+    assert rel_err(mean * np.float32(n)) <= 1.2e-7
+    assert rel_err(b.grad) <= 1.2e-7
+    assert rel_err(beta.grad) <= 1.2e-7
 
 
 # -- fused per-edge score MLP ----------------------------------------------------------

@@ -235,7 +235,7 @@ def test_train_refuses_a_schedule_shorter_than_the_run_before_any_step():
 def test_single_step_matches_hand_composition():
     ds, network = small_cls_setup()
     twin_ds, twin = small_cls_setup()
-    sched = tasks.Schedule(kind="step", base_lr=0.05, milestones=(), factor=0.1)
+    sched = tasks.Schedule(base_lr=0.05, epochs=1)
 
     # hand path: forward, backward, sgd on the first shuffled cloud
     order = nn.Rng(42).permutation(len(twin_ds.train))
