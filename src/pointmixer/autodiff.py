@@ -18,14 +18,17 @@ threads, one per CPU in the process's affinity set, each pinned to its own
 CPU; the pool starts on the first call with two or more blocks. With one
 allowed CPU, or where the platform cannot pin threads, every block runs in
 the calling thread. ``taskset`` is the control: ``taskset -c 0 ...`` keeps
-the kernel on one CPU. Workers run numpy on disjoint slices only; every sum
-across blocks is added by the caller in block order, so results are
-bit-identical whatever the number of CPUs.
+the kernel on one CPU. Starting the pool sets numpy's bundled OpenBLAS to
+one thread, for the whole process. Workers run numpy on disjoint slices
+only; every sum across blocks is added by the caller in block order, so
+results are bit-identical whatever the number of CPUs.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import glob
 import math
 import os
 import queue
@@ -241,19 +244,10 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -651,8 +645,25 @@ def _block_queues() -> list:
         if _workers is None:
             pinnable = hasattr(os, "sched_getaffinity") and hasattr(os, "sched_setaffinity")
             cpus = sorted(os.sched_getaffinity(0)) if pinnable else []
-            _workers = [_start_worker(cpu) for cpu in cpus] if len(cpus) > 1 else []
+            _workers = []
+            if len(cpus) > 1:
+                _one_blas_thread()
+                _workers = [_start_worker(cpu) for cpu in cpus]
         return _workers
+
+
+def _one_blas_thread():
+    """Set numpy's bundled OpenBLAS to one thread, for the whole process: its
+    own threads beside the pinned workers made training about 3x slower on
+    two CPUs, and changed the bits of some products. Does nothing where no
+    bundled OpenBLAS is found."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)  # the copy numpy already loaded
+        for fn in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if hasattr(lib, fn):
+                getattr(lib, fn)(1)
+                return
 
 
 def _drop_workers():

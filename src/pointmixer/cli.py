@@ -132,21 +132,14 @@ def _network_from_config(cfg: config_mod.Config, dataset: tasks.Dataset) -> net.
     return net.build_network(_network_config(cfg, dataset), nn.Rng(cfg["net.seed"]))
 
 
-def _schedule_from_config(cfg: config_mod.Config) -> tasks.Schedule:
-    return tasks.Schedule(base_lr=cfg["train.lr"], epochs=max(1, cfg["train.epochs"]))
-
-
 def _run_training(cfg: config_mod.Config, dataset: tasks.Dataset, network: net.Network):
-    schedule = _schedule_from_config(cfg)
     return tasks.train(
         network,
         dataset,
-        schedule,
+        tasks.Schedule(base_lr=cfg["train.lr"], epochs=max(1, cfg["train.epochs"])),
         epochs=cfg["train.epochs"],
         batch=cfg["train.batch"],
         rng=nn.Rng(cfg["train.seed"]),
-        momentum=cfg["train.momentum"],
-        weight_decay=cfg["train.weight_decay"],
         dropout_rng=nn.Rng(cfg["train.seed"] + 1),
     )
 

@@ -57,8 +57,6 @@ SCHEMA: dict[str, tuple] = {
     "net.dropout": (0.5, float, "classification head dropout rate"),
     "net.seed": (0, int, "parameter init seed"),
     "train.lr": (0.05, float, "base learning rate"),
-    "train.momentum": (0.9, float, "SGD momentum"),
-    "train.weight_decay": (0.0001, float, "weight decay (folded into the gradient)"),
     "train.epochs": (30, int, "training epochs"),
     "train.batch": (2, int, "clouds per optimizer step"),
     "train.seed": (0, int, "shuffle / dropout seed"),

@@ -21,6 +21,10 @@ run: a KD-tree proposes k + 1 candidates per row, their squared distances
 are recomputed exactly and re-ranked, rows that might hide a tie beyond the
 candidates ask again for k + 8, and only rows still unsure fall back to a
 dense search in bounded row blocks. No full N x M distance matrix is built.
+Searches and FPS rank in the cloud's own units (``_own_units``): a cloud
+whose largest |coordinate| is below 0.5 is first scaled up by a power of
+two, so squared distances near 1e-200 do not underflow into ties. Returned
+distances are scaled back; positions elsewhere are never scaled.
 
 Every index map is one read-only CSR edge list, an ``autodiff.Edges``
 built and checked once, here, when the map is built: a ``NeighborMap`` is
@@ -206,6 +210,17 @@ def _sq_dist(q, s, out=None, tmp=None) -> np.ndarray:
     return d
 
 
+def _own_units(*arrays) -> tuple[int, list]:
+    """``e`` and each array times 2^-e, where ``e = min(0, frexp(m)[1])``
+    for ``m``, the largest finite |coordinate| over all of them: tiny clouds
+    scale up until ``m`` lies in [0.5, 1), others stay as they are. Powers
+    of two scale exactly, so ranks and ties stay, and squared distances
+    that would underflow no longer do."""
+    m = max(float(np.max(np.abs(a), initial=0.0, where=np.isfinite(a))) for a in arrays)
+    e = min(0, int(np.frexp(m)[1]))
+    return e, [np.ldexp(a, -e) if e else a for a in arrays]
+
+
 def _dense_blocks(queries: np.ndarray, sources: np.ndarray):
     """Yield (lo, hi, squared distances of queries[lo:hi] to every source),
     so the dense fallback holds O(_BLOCK) entries at a time."""
@@ -282,6 +297,7 @@ def knn(sources: np.ndarray, queries: np.ndarray, k: int) -> NeighborMap:
         raise ValueError(f"k={k} out of range for {len(src)} source points")
     if not (np.all(np.isfinite(src)) and np.all(np.isfinite(qry))):
         raise ValueError("non-finite coordinates")
+    _, (src, qry) = _own_units(src, qry)
     return NeighborMap(_search(src, qry, k)[0], source_count=len(src))
 
 
@@ -299,6 +315,7 @@ def nearest(sources, queries, exclude_self: bool = False) -> tuple[np.ndarray, n
     qry = np.asarray(queries, dtype=np.float64)
     if src.ndim != 2 or qry.ndim != 2 or len(src) == 0:
         raise ValueError("empty input")
+    e, (src, qry) = _own_units(src, qry)
     k = 2 if exclude_self else 1
     idx = np.empty(len(qry), dtype=np.int64)
     d2 = np.empty(len(qry))
@@ -319,7 +336,7 @@ def nearest(sources, queries, exclude_self: bool = False) -> tuple[np.ndarray, n
         j = np.argmin(block, axis=1)
         idx[rows[lo:hi]] = j
         d2[rows[lo:hi]] = block[r, j]
-    return idx, d2
+    return idx, np.ldexp(d2, 2 * e, out=d2)
 
 
 def invert_map(m: NeighborMap) -> InverseNeighborMap:
@@ -365,7 +382,8 @@ def fps(points: np.ndarray, m: int, start: int = 0) -> np.ndarray:
     selected, ties broken by ascending index. Each pick updates the minima
     column by column in two N-buffers allocated once per call.
     """
-    cols = _columns(points)
+    _, (pts,) = _own_units(np.asarray(points, dtype=np.float64))
+    cols = _columns(pts)
     n = len(cols[0])
     if not (1 <= m <= n):
         raise ValueError(f"m={m} out of range for {n} points")

@@ -132,12 +132,13 @@ class ParamStore:
         extra = set(state) - set(self._entries)
         if missing or extra:
             raise ValueError(f"parameter name mismatch (missing={sorted(missing)}, extra={sorted(extra)})")
+        arrays = {name: np.array(state[name], dtype=np.float64) for name in self._entries}  # copies
+        for name, e in self._entries.items():  # every shape checked before any entry changes
+            if arrays[name].shape != e.value.data.shape:
+                raise ValueError(f"shape mismatch for {name}: {arrays[name].shape} vs {e.value.data.shape}")
         for name, e in self._entries.items():
-            arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != e.value.data.shape:
-                raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {e.value.data.shape}")
-            e.value.data = arr.copy()
-            e.momentum = np.zeros(arr.shape)
+            e.value.data = arrays[name]
+            e.momentum = np.zeros(arrays[name].shape)
 
 
 # -- layers ----------------------------------------------------------------

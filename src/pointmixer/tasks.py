@@ -376,8 +376,6 @@ def train(
     epochs: int,
     batch: int,
     rng: Rng,
-    momentum: float = 0.9,
-    weight_decay: float = 1e-4,
     dropout_rng: Rng | None = None,
 ):
     """Deterministic mini-batch training; per-cloud geometry is built once and
@@ -426,7 +424,7 @@ def train(
                 losses.append(float(loss.data))
                 metrics.append(metric)
             network.store.scale_grads(1.0 / len(chunk))
-            sgd_step(network.store, lr, momentum, weight_decay)
+            sgd_step(network.store, lr)
         log.append(
             {
                 "epoch": epoch,

@@ -980,12 +980,13 @@ def test_eval_on_a_seg_manifest_listing_a_target_exits_3(tmp_path, capsys):
     assert out == ""
 
 
-# -- removed config keys: network widths and the step schedule -------------------------------
+# -- removed config keys: network widths, the step schedule and the SGD knobs ----------------
 
 
 @pytest.mark.parametrize("key, default", [("net.expansion", 2), ("net.reduction", 4), ("net.pe_width", 0),
                                           ("train.schedule", "cosine"), ("train.milestones", "40,50"),
-                                          ("train.factor", 0.1)])
+                                          ("train.factor", 0.1), ("train.momentum", 0.9),
+                                          ("train.weight_decay", 0.0001)])
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_removed_network_width_keys_exit_3(tmp_path, capsys, key, default, command):
     cfg_path, ckpt, data_dir = eval_fixture(tmp_path, capsys)

@@ -31,7 +31,7 @@ net.widths = 8,16
     assert cfg["train.lr"] == 0.075
     assert cfg["net.use_hier"] is False
     assert cfg["net.widths"] == (8, 16)
-    assert cfg["train.momentum"] == 0.9  # untouched default
+    assert cfg["train.batch"] == 2  # untouched default
 
 
 def test_parse_rejects_unknown_and_duplicate_keys():

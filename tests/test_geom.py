@@ -320,6 +320,24 @@ def test_huge_finite_coordinates_follow_the_dense_search():
         assert np.array_equal(geom.knn(a, a, 4).indices, oracles.knn_rows(a, a, 4))
 
 
+@pytest.mark.parametrize("kind", ["uniform", "grid", "rounded"])
+def test_searches_give_the_same_indices_on_every_power_of_two_multiple(kind):
+    # squared distances of a cloud times 2^-1000 underflow to 0 unless the
+    # search ranks in the cloud's own units
+    rng = np.random.default_rng(33)
+    pts = random_cloud(rng, 512) if kind == "uniform" else tie_heavy_cloud(kind, rng, 512)
+    qry = random_cloud(rng, 64) if kind == "uniform" else tie_heavy_cloud(kind, rng, 64)
+    want_knn, want_fps = geom.knn(pts, pts, 16).indices, geom.fps(pts, 64)
+    want = [geom.nearest(pts, qry), geom.nearest(pts, pts, exclude_self=True)]
+    for s in range(-1000, 401, 25):
+        p, q = np.ldexp(pts, s), np.ldexp(qry, s)
+        assert np.array_equal(geom.knn(p, p, 16).indices, want_knn), s
+        assert np.array_equal(geom.fps(p, 64), want_fps), s
+        for (idx, d2), (want_idx, want_d2) in zip([geom.nearest(p, q), geom.nearest(p, p, exclude_self=True)], want):
+            assert np.array_equal(idx, want_idx), s
+            assert np.array_equal(d2, np.ldexp(want_d2, 2 * s)), s  # scaled back, rounded once
+
+
 def test_coordinates_at_the_limit_keep_squared_distances_finite():
     pts = np.array([[geom.COORD_LIMIT] * 3, [-geom.COORD_LIMIT] * 3, [0.0, 0, 0]])
     geom.PointCloud(pts, np.zeros((3, 0))).validate()

@@ -584,10 +584,11 @@ def test_degenerate_clouds_give_finite_outputs_and_gradients_or_a_documented_ref
         for name, t in network.store.tensors():
             assert t.grad is not None and np.all(np.isfinite(t.grad)), (key, name)
         outcomes[key] = "finite"
-    # max-pool inter-set mixing refuses points in no neighbourhood; at 1e-200 every
-    # distance ties at 0, so neighbours go by index and most points are in none.
+    # max-pool inter-set mixing refuses points in no neighbourhood: a point repeated
+    # more than k times leaves copies in none. At 1e-200 the searches rank in the
+    # cloud's own units, so neighbours follow geometry and every point is covered.
     # With 2k points level 1 keeps 2 < k points, too few for a token MLP.
-    refused = {"maxpool": net.UncoveredPoints} if case in ("repeated", "coincident", "tiny") else {}
+    refused = {"maxpool": net.UncoveredPoints} if case in ("repeated", "coincident") else {}
     if case == "two_k":
         refused = {"tokenmlp": mixer.VariableCardinalityError}
     assert outcomes == {key: refused.get(key[0], "finite") for key in outcomes}

@@ -1,3 +1,5 @@
+import ctypes
+import glob
 import os
 import signal
 import subprocess
@@ -513,6 +515,20 @@ def test_param_store_rejects_duplicates():
         store.add("a", np.zeros(2))
 
 
+def test_load_state_with_a_wrong_shape_changes_nothing():
+    store = nn.ParamStore()
+    store.add("a", np.array([1.0, 2.0]))
+    store.add("b", np.array([3.0, 4.0, 5.0]))
+    store["a"].grad = np.array([1.0, 1.0])
+    nn.sgd_step(store, lr=0.1)  # a non-zero momentum for "a"
+    before = {name: (store[name].data.copy(), store.momentum(name).copy()) for name in store.names()}
+    with pytest.raises(ValueError, match="shape mismatch for b"):
+        store.load_state({"a": np.ones(2), "b": np.ones(4)})  # "a" comes first and fits
+    for name, (value, momentum) in before.items():
+        assert np.array_equal(store[name].data, value), name
+        assert np.array_equal(store.momentum(name), momentum), name
+
+
 # -- checkpoint -------------------------------------------------------------------------
 
 
@@ -909,6 +925,40 @@ np.savez({str(dump)!r}, out, *grads)
     assert proc.returncode == 0, proc.stderr
     with np.load(dump) as there:
         assert_same_bits((there["arr_0"], [there[f"arr_{i}"] for i in range(1, 7)]), here)
+
+
+def openblas_threads():
+    """Threads numpy's bundled OpenBLAS reports, or None when it cannot be asked."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for fn in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, fn):
+                return getattr(lib, fn)()
+    return None
+
+
+def test_the_block_pool_leaves_one_blas_thread():
+    if len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2:
+        pytest.skip("needs two CPUs")
+    if openblas_threads() is None:
+        pytest.skip("no bundled OpenBLAS to ask")
+    script = """
+import test_nn
+from pointmixer import autodiff
+src, rel, tensors, _ = test_nn.many_block_case()
+with autodiff.no_grad():
+    autodiff.edge_scores(tensors[0], src, rel, *tensors[1:])
+assert autodiff._workers, "no worker started"
+print(test_nn.openblas_threads())
+"""
+    paths = [os.path.dirname(os.path.dirname(pointmixer.__file__)), os.path.dirname(__file__)]
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    env["PYTHONPATH"] = os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"]
 
 
 def test_edge_scores_spread_blocks_over_one_pinned_worker_per_cpu(monkeypatch):
