@@ -13,15 +13,16 @@ graph raises ``RuntimeError``.
 Float64 is the default dtype (correctness runs); float32 inputs are carried
 through unchanged for benchmark runs.
 
-``edge_scores`` spreads its edge blocks over a private pool of worker
-threads, one per CPU in the process's affinity set, each pinned to its own
-CPU; the pool starts on the first call with two or more blocks. With one
+``edge_scores`` spreads its edge blocks over a private standard-library
+``ThreadPoolExecutor``: one thread per CPU in the process's affinity set,
+each pinned to its own CPU by the pool's initializer, started on the first
+call with two or more blocks and joined at interpreter exit. With one
 allowed CPU, or where the platform cannot pin threads, every block runs in
-the calling thread. ``taskset`` is the control: ``taskset -c 0 ...`` keeps
-the kernel on one CPU. Starting the pool sets numpy's bundled OpenBLAS to
-one thread, for the whole process. Workers run numpy on disjoint slices
-only; every sum across blocks is added by the caller in block order, so
-results are bit-identical whatever the number of CPUs.
+the calling thread (``taskset -c 0 ...`` keeps the kernel on one CPU).
+Starting the pool sets numpy's bundled OpenBLAS to one thread, for the whole
+process. Pool threads run numpy on disjoint slices only; every sum across
+blocks is added by the caller in block order, so results are bit-identical
+whatever the number of CPUs.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ import ctypes
 import glob
 import math
 import os
-import queue
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -610,51 +611,41 @@ def csr_weighted_sum(weights, values, src, offsets=None) -> Tensor:
     return _make(a @ v.data, (w, v), bwd, "csr_weighted_sum")
 
 
-# -- edge-block workers ---------------------------------------------------
+# -- edge-block pool -------------------------------------------------------
 
 
-def _start_worker(cpu: int) -> queue.SimpleQueue:
-    """A daemon thread pinned to ``cpu``, and the queue it takes tasks from;
-    while idle it blocks on the queue and never spins."""
-    tasks = queue.SimpleQueue()
-    threading.Thread(target=_block_worker, args=(cpu, tasks), name=f"pointmixer-blocks-cpu{cpu}", daemon=True).start()
-    return tasks
-
-
-def _block_worker(cpu: int, tasks: queue.SimpleQueue):
+def _pin_next(cpus):
+    """Pool initializer: pin the new thread to the next CPU of ``cpus``."""
     try:
-        os.sched_setaffinity(0, {cpu})  # pid 0: this thread only
+        os.sched_setaffinity(0, {next(cpus)})  # pid 0: this thread only
     except OSError:
         pass  # the CPU left the affinity set since the pool was sized: run unpinned
-    while True:
-        run, scratch = tasks.get()
-        run(scratch)
-        del run, scratch  # an idle worker holds nothing of the last call
 
 
-_workers: list | None = None  # task queues of the block workers, once started
-_workers_lock = threading.Lock()
+_pool: ThreadPoolExecutor | None = None  # the block pool, once started
+_pool_threads = 0  # its thread count; 1 where it cannot start, 0 until first asked
+_pool_lock = threading.Lock()
 
 
-def _block_queues() -> list:
-    """The task queues of the block workers, one per CPU the process may
-    use, started on first use; empty where only one CPU is allowed or
-    threads cannot be pinned."""
-    global _workers
-    with _workers_lock:
-        if _workers is None:
+def _block_pool() -> tuple[ThreadPoolExecutor | None, int]:
+    """The block pool and its thread count, started on first use: one thread
+    per CPU the process may use, each pinned to its own CPU by ``_pin_next``.
+    ``(None, 1)`` where only one CPU is allowed or threads cannot be pinned."""
+    global _pool, _pool_threads
+    with _pool_lock:
+        if not _pool_threads:
             pinnable = hasattr(os, "sched_getaffinity") and hasattr(os, "sched_setaffinity")
             cpus = sorted(os.sched_getaffinity(0)) if pinnable else []
-            _workers = []
+            _pool_threads = max(1, len(cpus))
             if len(cpus) > 1:
                 _one_blas_thread()
-                _workers = [_start_worker(cpu) for cpu in cpus]
-        return _workers
+                _pool = ThreadPoolExecutor(len(cpus), "pointmixer-blocks", _pin_next, (iter(cpus),))
+        return _pool, _pool_threads
 
 
 def _one_blas_thread():
     """Set numpy's bundled OpenBLAS to one thread, for the whole process: its
-    own threads beside the pinned workers made training about 3x slower on
+    own threads beside the pinned pool made training about 3x slower on
     two CPUs, and changed the bits of some products. Does nothing where no
     bundled OpenBLAS is found."""
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
@@ -666,61 +657,49 @@ def _one_blas_thread():
                 return
 
 
-def _drop_workers():
-    """After a fork: the child has none of the parent's worker threads, so
-    it starts its own on first use."""
-    global _workers, _workers_lock
-    _workers, _workers_lock = None, threading.Lock()
+def _drop_pool():
+    """After a fork: the child has none of the parent's pool threads (an
+    inherited executor would queue work for them), so it starts its own."""
+    global _pool, _pool_threads, _pool_lock
+    _pool, _pool_threads, _pool_lock = None, 0, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_workers)
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 def _run_blocks(n_blocks: int, make_scratch, body):
     """Call ``body(i, scratch)`` once for every block ``i < n_blocks``, on
-    the block workers when there are two or more blocks and CPUs, else
-    inline. Each worker, never more than there are blocks, takes blocks
-    from a shared queue and gets its own scratch from ``make_scratch()``
-    (a tuple of arrays and ``None``s), accounted here for its lifetime. The
-    body may touch only numpy and private helpers, and must write each
-    block's results to slices or slots of its own. The caller waits for
-    blocks, not for workers: waking a worker on an idle CPU can take
-    milliseconds in a virtual machine, and one that wakes after the others
-    took every block returns at once. The first exception a block raised
-    re-raises here once every block is done."""
-    workers = _block_queues()[:n_blocks] if n_blocks > 1 else []
-    scratch = [make_scratch() for _ in range(max(1, len(workers)))]
+    the block pool when there are two or more blocks and CPUs, else inline.
+    One task per pool thread, never more than there are blocks, gets its own
+    scratch from ``make_scratch()`` (a tuple of arrays and ``None``s,
+    accounted here for its lifetime) and takes blocks from one shared
+    iterator until none is left. The body may touch only numpy and private
+    helpers, and must write each block's results to slices or slots of its
+    own. The caller waits for blocks, not for threads: waking a thread on an
+    idle CPU can take milliseconds in a virtual machine, and a task that
+    starts after the others took every block returns at once. Once every
+    task is done, an exception a block raised re-raises here."""
+    pool, threads = _block_pool() if n_blocks > 1 else (None, 1)
+    scratch = [make_scratch() for _ in range(min(n_blocks, threads))]
     nbytes = sum(b.nbytes for bufs in scratch for b in bufs if b is not None)
     if _alloc.enabled:
         _alloc.add(nbytes)
     try:
-        if len(workers) < 2:
+        if pool is None:
             for i in range(n_blocks):
                 body(i, scratch[0])
             return
-        todo, done = queue.SimpleQueue(), queue.SimpleQueue()
-        for i in range(n_blocks):
-            todo.put(i)
+        todo = iter(range(n_blocks))  # its next() is one step under the GIL: each block goes out once
 
-        def run(bufs):
-            while True:
-                try:
-                    i = todo.get_nowait()
-                except queue.Empty:
-                    return
-                try:
-                    body(i, bufs)
-                except BaseException as e:  # handed to the caller, which re-raises it
-                    done.put(e)
-                else:
-                    done.put(None)
+        def drain(bufs):
+            for i in todo:
+                body(i, bufs)
 
-        for tasks, bufs in zip(workers, scratch):
-            tasks.put((run, bufs))
-        errors = [e for e in [done.get() for _ in range(n_blocks)] if e is not None]
-        if errors:
-            raise errors[0]
+        tasks = [pool.submit(drain, bufs) for bufs in scratch]
+        wait(tasks)
+        for task in tasks:
+            task.result()
     finally:
         if _alloc.enabled:
             _alloc.sub(nbytes)
@@ -798,7 +777,7 @@ def edge_scores(hidden, src, rel, W1, b1, W_fold, w2, b2) -> Tensor:
     (1,); the result has shape (E,). The edges run in
     contiguous blocks of about ``_EDGE_BLOCK_FLOATS / max(P, H)`` rows, so
     each block's hidden layers stay in cache. With two or more blocks, the
-    blocks spread over one pinned worker thread per CPU the process may use
+    blocks spread over the block pool's threads, one pinned per allowed CPU
     (``taskset`` limits them; see the module docstring). Each block writes
     its own rows of the output and of what the tape keeps, and the backward
     returns each block's partial weight gradients, which the caller adds in
@@ -831,7 +810,7 @@ def edge_scores(hidden, src, rel, W1, b1, W_fold, w2, b2) -> Tensor:
     out = np.empty(n_edges, dtype)
 
     def forward_scratch():
-        # per-worker scratch, reused by every block it takes (fresh buffers
+        # per-task scratch, reused by every block it takes (fresh buffers
         # cost page faults): the second layer, and one flat buffer for the
         # first layer that then holds the gathered rows and Phi of the second
         # (plus one for Phi of the first when nothing keeps it)

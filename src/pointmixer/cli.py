@@ -8,15 +8,17 @@ needs, a max-pool network with inter-set mixing on clouds where some
 point lies in no neighbourhood, --grid with train.resume set, a
 checkpoint whose parameter names or shapes differ from the network's), 3 I/O
 failure (unreadable or inconsistent data, config or checkpoint, a split
-with no clouds to train on or evaluate, or a network whose output on
-the evaluated data is non-finite), 4 non-finite training loss or
-non-finite output on the test split after training.
+with no clouds to train on or evaluate, a network whose output on the
+evaluated data is non-finite, or a reconstruction target with zero
+nearest-neighbour spacing in the split it is scored on), 4 non-finite
+training loss or non-finite output on the test split after training.
 The PMIX_SEED environment variable overrides data.seed everywhere.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import os
 import sys
@@ -132,16 +134,27 @@ def _network_from_config(cfg: config_mod.Config, dataset: tasks.Dataset) -> net.
     return net.build_network(_network_config(cfg, dataset), nn.Rng(cfg["net.seed"]))
 
 
+@contextlib.contextmanager
+def _quiet_overflow():
+    """Silence numpy's overflow warnings on the way to a non-finite loss or
+    output: training raises TrainingDiverged and evaluate NonFiniteOutput
+    for it, each reported in one line."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "(overflow|invalid value) encountered", RuntimeWarning)
+        yield
+
+
 def _run_training(cfg: config_mod.Config, dataset: tasks.Dataset, network: net.Network):
-    return tasks.train(
-        network,
-        dataset,
-        tasks.Schedule(base_lr=cfg["train.lr"], epochs=max(1, cfg["train.epochs"])),
-        epochs=cfg["train.epochs"],
-        batch=cfg["train.batch"],
-        rng=nn.Rng(cfg["train.seed"]),
-        dropout_rng=nn.Rng(cfg["train.seed"] + 1),
-    )
+    with _quiet_overflow():
+        return tasks.train(
+            network,
+            dataset,
+            tasks.Schedule(base_lr=cfg["train.lr"], epochs=max(1, cfg["train.epochs"])),
+            epochs=cfg["train.epochs"],
+            batch=cfg["train.batch"],
+            rng=nn.Rng(cfg["train.seed"]),
+            dropout_rng=nn.Rng(cfg["train.seed"] + 1),
+        )
 
 
 def _eval_split(network, dataset: tasks.Dataset, split: str) -> tasks.MetricReport:
@@ -149,10 +162,7 @@ def _eval_split(network, dataset: tasks.Dataset, split: str) -> tasks.MetricRepo
     targets = None
     if dataset.spec.task == "recon":
         targets = dataset.train_targets if split == "train" else dataset.test_targets
-    with warnings.catch_warnings():
-        # numpy's overflow warnings on the way to a non-finite output: evaluate
-        # raises NonFiniteOutput for that output, in one line
-        warnings.filterwarnings("ignore", "(overflow|invalid value) encountered", RuntimeWarning)
+    with _quiet_overflow():
         return tasks.evaluate(network, clouds, dataset.spec.task,
                               num_classes=dataset.spec.classes, targets=targets)
 
@@ -238,6 +248,8 @@ def cmd_train(args) -> int:
                          "leave train.resume empty")
     try:
         dataset = _load_dataset(cfg)
+        if dataset.spec.task == "recon":  # refuse targets the run cannot be scored on before it trains
+            tasks.target_taus(dataset.train_targets if args.grid and not dataset.test else dataset.test_targets)
     except (OSError, ValueError) as e:
         print(f"cannot load data: {e}", file=sys.stderr)
         return EXIT_IO
@@ -291,7 +303,7 @@ def cmd_eval(args) -> int:
         return code
     try:
         report = _eval_split(network, dataset, args.split)
-    except tasks.NonFiniteOutput as e:
+    except (tasks.NonFiniteOutput, tasks.ZeroSpacingTarget) as e:
         print(f"cannot evaluate: {e}", file=sys.stderr)
         return EXIT_IO
     print(report.to_csv() if args.format == "csv" else report.to_kv())

@@ -29,6 +29,7 @@ __all__ = [
     "Schedule",
     "TrainingDiverged",
     "NonFiniteOutput",
+    "ZeroSpacingTarget",
     "CloudsTooSmall",
     "gen_dataset",
     "cross_entropy",
@@ -36,6 +37,7 @@ __all__ = [
     "occupancy_metrics",
     "segmentation_metrics",
     "default_tau",
+    "target_taus",
     "train",
     "evaluate",
 ]
@@ -284,6 +286,17 @@ def default_tau(gt) -> float:
     return 2.0 * float(np.sqrt(d2).mean())
 
 
+def target_taus(targets) -> list[float]:
+    """``default_tau`` of each reconstruction target of a split. Raises
+    ZeroSpacingTarget naming the first target, by its index in the split,
+    whose tau is 0."""
+    taus = [default_tau(t) for t in targets]
+    for i, tau in enumerate(taus):
+        if not tau > 0:
+            raise ZeroSpacingTarget(f"reconstruction target {i} of the split has zero nearest-neighbour spacing")
+    return taus
+
+
 def occupancy_metrics(pred, gt, tau: float) -> tuple[float, float, float]:
     """(accuracy, completeness, F1) at threshold tau."""
     pred = np.asarray(pred, dtype=np.float64)
@@ -338,6 +351,13 @@ class CloudsTooSmall(ValueError):
 
 class NonFiniteOutput(ValueError):
     """``evaluate`` met a network output holding NaN or inf."""
+
+
+class ZeroSpacingTarget(ValueError):
+    """A reconstruction target whose mean nearest-neighbour spacing is 0:
+    each of its points coincides with another, or the squared spacings
+    underflow (coordinates near 1e-200). Its occupancy threshold
+    ``default_tau`` is then 0, and no prediction can be scored against it."""
 
 
 @dataclass
@@ -448,7 +468,9 @@ def evaluate(network, clouds, task: str, num_classes: int = 0,
 
     Raises NonFiniteOutput (a ValueError) naming the cloud, by its index in
     ``clouds``, when the network output holds a non-finite value: argmax of
-    NaN logits would otherwise report class 0 as a prediction."""
+    NaN logits would otherwise report class 0 as a prediction. For recon,
+    ZeroSpacingTarget (a ValueError, from ``target_taus``) names a target
+    that no prediction can be scored against, before any cloud runs."""
     with no_grad():
         if task == "cls":
             correct_cloud, correct_class = [], {}
@@ -471,12 +493,13 @@ def evaluate(network, clouds, task: str, num_classes: int = 0,
             return MetricReport({"miou": miou, "macc": macc, "oa": oa})
         if task == "recon":
             cds, accs, cps, f1s = [], [], [], []
-            for i, (cloud, target) in enumerate(zip(clouds, targets, strict=True)):
+            taus = target_taus(targets)
+            for i, (cloud, target, tau) in enumerate(zip(clouds, targets, taus, strict=True)):
                 pred = cloud.positions + _finite_output(net_mod.forward_dense(network, cloud), i)
                 # one pair of nearest searches serves chamfer and occupancy
                 pred_gt, gt_pred = _nearest_sq(pred, target)
                 cds.append(_chamfer_from(pred_gt, gt_pred))
-                a, c, f = _occupancy_from(pred_gt, gt_pred, default_tau(target))
+                a, c, f = _occupancy_from(pred_gt, gt_pred, tau)
                 accs.append(a)
                 cps.append(c)
                 f1s.append(f)

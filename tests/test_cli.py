@@ -1,5 +1,6 @@
 import filecmp
 import io
+import itertools
 import os
 import struct
 import sys
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 from pointmixer import autodiff, cli, cloudio, config, geom, net, nn, tasks
+
+from test_net import degenerate_positions
 
 
 def run_cli(capsys, *argv):
@@ -965,6 +968,87 @@ def test_train_diverged_run_keeps_its_config_echo(tmp_path, capsys):
     assert "training diverged" in err
     assert (tmp_path / "run" / "config.txt").exists()
     assert not (tmp_path / "run" / "model.pmix").exists()
+
+
+@pytest.mark.parametrize("grid", [False, True])
+def test_train_diverged_run_prints_one_line_and_no_numpy_warning(tmp_path, capsys, grid):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(capsys, "train", str(tiny_train_config(tmp_path, **{"train.lr": 1e300})),
+                               *(["--grid"] if grid else []))
+    assert code == 4
+    assert caught == []  # numpy's overflow warnings would print before the one line
+    assert_one_line_error(err, "training diverged")
+
+
+def zero_spacing_target(path, kind):
+    """Rewrite a target cloud so its nearest-neighbour spacing is 0: one
+    repeated point, or the cloud at 1e-200, whose squared spacings underflow."""
+    cloud = cloudio.read_cloud(path)
+    pos = np.repeat(cloud.positions[:1], cloud.n, axis=0) if kind == "coincident" else cloud.positions * 1e-200
+    cloudio.write_cloud(path, geom.PointCloud(pos, cloud.features, cloud.labels))
+
+
+@pytest.mark.parametrize("kind", ["coincident", "tiny"])
+def test_recon_target_with_zero_spacing_exits_3_in_one_line(tmp_path, capsys, kind):
+    gen_dir(capsys, tmp_path / "ds", "recon")
+    cfg_path = dir_config(tmp_path, tmp_path / "ds", "recon", **{"train.epochs": 0})
+    assert run_cli(capsys, "train", str(cfg_path))[0] == 0
+    zero_spacing_target(tmp_path / "ds" / "test_targets" / "cloud_00001.pmc", kind)
+    message = "reconstruction target 1 of the split has zero nearest-neighbour spacing"
+    code, out, err = run_cli(capsys, "eval", "--config", str(cfg_path),
+                             "--checkpoint", str(tmp_path / "run" / "model.pmix"), "--data", str(tmp_path / "ds"))
+    assert code == 3
+    assert_one_line_error(err, f"cannot evaluate: {message}")
+    assert out == ""
+    for grid in ([], ["--grid"]):  # refused before anything trains
+        cfg_path = dir_config(tmp_path, tmp_path / "ds", "recon", **{"train.out": str(tmp_path / "refused")})
+        code, out, err = run_cli(capsys, "train", str(cfg_path), *grid)
+        assert code == 3
+        assert_one_line_error(err, f"cannot load data: {message}")
+        assert out == "" and not (tmp_path / "refused").exists()
+
+
+DEGENERATE_CASES = ["uniform", "repeated", "coincident", "collinear", "coplanar", "two_k", "tiny", "huge"]
+
+
+def degenerate_dataset(data_dir, case, task):
+    """Two train clouds and one test cloud, each on ``degenerate_positions(case)``
+    with its positions as features and, for recon, as its target."""
+    pos = degenerate_positions(case)
+    labels = {"cls": np.zeros(len(pos), dtype=np.int64), "seg": np.arange(len(pos)) % 2}.get(task)
+    cloud = geom.PointCloud(pos, pos.copy(), labels)
+    spec = tasks.DatasetSpec(task=task, classes=2, points=len(pos), train_clouds=2, test_clouds=1)
+    recon = task == "recon"
+    cloudio.write_dataset(data_dir, tasks.Dataset(spec, [cloud, cloud], [cloud],
+                                                  [pos, pos] if recon else None, [pos] if recon else None))
+
+
+@pytest.mark.parametrize("case", DEGENERATE_CASES)
+def test_degenerate_clouds_through_train_and_eval_exit_with_one_line(tmp_path, capsys, case):
+    for task, variant in itertools.product(["cls", "seg", "recon"], ["softmax", "maxpool"]):
+        data_dir, name = tmp_path / f"{task}-data", f"{task}-{variant}"
+        if not data_dir.exists():
+            degenerate_dataset(data_dir, case, task)
+        cfg_path = dir_config(tmp_path, data_dir, task, **{"train.out": str(tmp_path / name), "net.variant": variant,
+                                                           "train.epochs": 1, "train.batch": 1})
+        checkpoint = tmp_path / name / "model.pmix"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            runs = [("train", *run_cli(capsys, "train", str(cfg_path)))]
+            if checkpoint.exists():
+                runs.append(("eval", *run_cli(capsys, "eval", "--config", str(cfg_path),
+                                              "--checkpoint", str(checkpoint), "--data", str(data_dir))))
+        numpy_warnings = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not numpy_warnings, (name, numpy_warnings)
+        for command, code, _, err in runs:
+            assert code in ((0, 2, 3, 4) if command == "train" else (0, 2, 3)), (name, command, err)
+            if code:
+                assert len(err.splitlines()) == 1 and "Traceback" not in err, (name, command, err)
+            else:
+                assert err == "", (name, command, err)
+        if case == "uniform":
+            assert [code for _, code, _, _ in runs] == [0, 0], name
 
 
 def test_eval_on_a_seg_manifest_listing_a_target_exits_3(tmp_path, capsys):

@@ -916,7 +916,7 @@ import test_nn
 from pointmixer import autodiff
 src, rel, tensors, g = test_nn.many_block_case()
 out, grads = test_nn.library_scores_and_grads(src, rel, tensors, g)
-assert autodiff._workers == [] and threading.active_count() == 1, "a worker thread started"
+assert autodiff._pool is None and threading.active_count() == 1, "a worker thread started"
 np.savez({str(dump)!r}, out, *grads)
 """
     paths = [os.path.dirname(os.path.dirname(pointmixer.__file__)), os.path.dirname(__file__)]
@@ -949,7 +949,7 @@ from pointmixer import autodiff
 src, rel, tensors, _ = test_nn.many_block_case()
 with autodiff.no_grad():
     autodiff.edge_scores(tensors[0], src, rel, *tensors[1:])
-assert autodiff._workers, "no worker started"
+assert autodiff._pool is not None, "no worker started"
 print(test_nn.openblas_threads())
 """
     paths = [os.path.dirname(os.path.dirname(pointmixer.__file__)), os.path.dirname(__file__)]
@@ -997,11 +997,11 @@ def test_edge_scores_spread_blocks_over_one_pinned_worker_per_cpu(monkeypatch):
 
 
 def test_edge_scores_wait_for_blocks_not_for_a_busy_worker():
-    workers = autodiff._block_queues()
-    if len(workers) < 2:
+    pool, _ = autodiff._block_pool()
+    if pool is None:
         pytest.skip("needs two CPUs")
     release = threading.Event()
-    workers[-1].put((lambda _: release.wait(60), None))  # one worker is held up (a slow or sleeping CPU)
+    pool.submit(release.wait, 60)  # one worker is held up (a slow or sleeping CPU)
     try:
         src, rel, tensors, g = many_block_case()
         want = serial_scores_and_grads(src, rel, tensors, g, autodiff._EDGE_BLOCK_FLOATS)
@@ -1088,6 +1088,35 @@ def test_edge_scores_run_in_a_child_forked_after_the_workers_started():
             pytest.fail("the forked child hung in edge_scores")
         time.sleep(0.02)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_process_using_the_pool_and_its_forked_child_exit_cleanly():
+    if len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2:
+        pytest.skip("needs two CPUs")
+    script = """
+import os, sys, warnings
+import numpy as np
+import test_nn
+from pointmixer import autodiff
+src, rel, tensors, _ = test_nn.many_block_case()
+with autodiff.no_grad():
+    want = autodiff.edge_scores(tensors[0], src, rel, *tensors[1:]).data
+assert autodiff._pool is not None, "no worker started"
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)  # forking a process with threads is the point
+    pid = os.fork()
+if pid == 0:
+    with autodiff.no_grad():
+        got = autodiff.edge_scores(tensors[0], src, rel, *tensors[1:]).data
+    sys.exit(0 if np.array_equal(got, want) else 2)  # through interpreter exit, which joins the pool
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+    paths = [os.path.dirname(os.path.dirname(pointmixer.__file__)), os.path.dirname(__file__)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"], proc.stderr  # the child's exit code
 
 
 # -- one checked Edges per map, and the blocked weight gradient ------------------------

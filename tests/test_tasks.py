@@ -341,6 +341,21 @@ def test_default_tau_is_twice_mean_spacing():
     assert tasks.default_tau(gt) == pytest.approx(8 / 3)
 
 
+def test_evaluate_names_a_recon_target_with_zero_spacing():
+    spec = tasks.DatasetSpec(task="recon", points=48, train_clouds=1, test_clouds=3, noise=0.05, seed=1)
+    ds = tasks.gen_dataset(spec)
+    cfg = net.NetworkConfig(levels=[net.LevelSpec(6, 1, 1.0)], head=net.DenseHead(3), k=4, in_channels=3)
+    network = net.build_network(cfg, nn.Rng(2))
+    coincident = np.repeat(ds.test_targets[1][:1], 48, axis=0)
+    tiny = ds.test_targets[2] * 1e-200  # distinct points whose squared spacings underflow
+    for i, target in [(1, coincident), (2, tiny)]:
+        targets = list(ds.test_targets)
+        targets[i] = target
+        with pytest.raises(tasks.ZeroSpacingTarget, match=f"reconstruction target {i} of the split has zero"):
+            tasks.evaluate(network, ds.test, "recon", targets=targets)
+    assert tasks.target_taus(ds.test_targets) == [tasks.default_tau(t) for t in ds.test_targets]
+
+
 def dense_metrics(pred, gt, tau=None):
     """The metrics as full distance matrices: (cd, tau, acc, cp)."""
     d2 = ((pred[:, None, :] - gt[None, :, :]) ** 2).sum(axis=2)
